@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.bins import Bin
 from ..core.item import Item
-from .anyfit import FIRST_FIT, FitRule
+from .anyfit import FIRST_FIT, LAST_FIT, FitRule
 from .base import OnlineAlgorithm, item_type
 
 __all__ = ["HybridAlgorithm", "sqrt_threshold", "GN_TAG", "CD_TAG"]
@@ -125,10 +125,22 @@ class HybridAlgorithm(OnlineAlgorithm):
         self._cd_bins.setdefault(T, []).append(b)
         return b
 
+    def _any_fit(self, bins: List[Bin], item: Item) -> Optional[Bin]:
+        """The rule's pick among ``bins`` that fit ``item`` (or ``None``);
+        first/last-fit stop at the first fitting bin from their end."""
+        rule = self.rule
+        if rule is FIRST_FIT or rule is LAST_FIT:
+            for b in bins if rule is FIRST_FIT else reversed(bins):
+                if b.fits(item):
+                    return b
+            return None
+        candidates = [b for b in bins if b.fits(item)]
+        return rule(candidates, item) if candidates else None
+
     def _place_gn(self, item: Item, sim) -> Bin:
-        candidates = [b for b in self._gn_bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
+        found = self._any_fit(self._gn_bins, item)
+        if found is not None:
+            return found
         b = sim.open_bin(tag=(GN_TAG,))
         self._gn_bins.append(b)
         self._max_gn_open = max(self._max_gn_open, len(self._gn_bins))
@@ -136,9 +148,9 @@ class HybridAlgorithm(OnlineAlgorithm):
 
     def _place_cd(self, item: Item, T: tuple[int, int], sim) -> Bin:
         bins = self._cd_bins.setdefault(T, [])
-        candidates = [b for b in bins if b.fits(item)]
-        if candidates:
-            return self.rule(candidates, item)
+        found = self._any_fit(bins, item)
+        if found is not None:
+            return found
         b = sim.open_bin(tag=(CD_TAG, T))
         bins.append(b)
         return b

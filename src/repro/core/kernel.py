@@ -21,6 +21,9 @@ Section-4 adaptive adversaries, and the streaming
   unknown departures, departed explicitly by adversaries);
 - per-bin **usage/peak accounting** and the O(1) running-cost identity
   ``Σ_open (t - opened_at) = |open|·t - Σ_open opened_at``;
+- the **running counters** (arrivals, departures, bins opened/closed,
+  max open, load, peak load, utilisation area ``∫ S_t dt``), updated
+  inline at the event sites — frontends only read them;
 - the optional **ON_t event log** (``(time, ±1)`` open-count deltas)
   and record-mode history from which :meth:`result` builds an audited
   :class:`~repro.core.result.PackingResult`.
@@ -36,6 +39,8 @@ residual-capacity-sorted list plus a max-residual segment tree in
 opening order — so the Any-Fit candidate queries exposed on the facade
 (:meth:`first_fit`, :meth:`best_fit`, :meth:`worst_fit`,
 :meth:`last_fit`) run in O(log n) instead of scanning every open bin.
+The first such query builds the index; algorithms that never ask (HA,
+NextFit and CDFF keep their own bin lists) never pay for its upkeep.
 Construct with ``indexed=False`` to fall back to the plain linear scans
 (same results; used as the benchmark baseline and as a safety valve).
 
@@ -49,8 +54,8 @@ Frontends integrate through two hooks passed at construction:
 ``listener``
     Receives ``on_advance`` / ``on_open`` / ``on_arrival`` /
     ``on_departure`` / ``on_close`` callbacks in exact event order; the
-    streaming engine uses this to drive its incremental accounting,
-    metrics and observer events without re-implementing any semantics.
+    streaming engine uses this to drive its metrics and observer events
+    without re-implementing any semantics.
 """
 
 from __future__ import annotations
@@ -84,10 +89,10 @@ _NEG_INF = float("-inf")
 class KernelListener:
     """Callback protocol for frontends observing kernel events.
 
-    All methods are optional no-ops; the streaming engine overrides them
-    to maintain :class:`~repro.engine.accounting.RunningAccounting`,
-    metrics and observer events.  ``timed`` tells the kernel whether to
-    measure per-departure wall time (for latency histograms).
+    All methods are optional no-ops; the streaming engine overrides the
+    departure and close hooks to feed its metrics and observer events.
+    ``timed`` tells the kernel whether to measure per-departure wall time
+    (for latency histograms).
     """
 
     timed: bool = False
@@ -323,9 +328,9 @@ class PlacementKernel:
         Additionally keep the ``(time, ±1)`` ON_t open-count deltas in
         :attr:`open_count_events` (grows with the trace).
     indexed:
-        Maintain the :class:`OpenBinIndex` for O(log n) candidate
-        queries; ``False`` falls back to linear scans (identical
-        results).
+        Answer candidate queries from the :class:`OpenBinIndex` in
+        O(log n), built by the first query; ``False`` falls back to
+        linear scans (identical results).
     listener:
         Optional :class:`KernelListener` receiving every event.
     facade:
@@ -355,6 +360,14 @@ class PlacementKernel:
             [] if record_events else None
         )
         self._sum_opened_at = 0.0
+        self.arrivals = 0  # running counters, updated at the event sites
+        self.departures = 0
+        self.bins_opened = 0
+        self.bins_closed = 0
+        self.max_open = 0
+        self.load = 0.0  #: total size of active items
+        self.peak_load = 0.0  #: max_t S_t so far
+        self.util_area = 0.0  #: ∫ load dt — space–time demand served
         self._bin_uid = 0
         self._seq = 0
         self._open: dict[int, Bin] = {}
@@ -364,17 +377,13 @@ class PlacementKernel:
         self._bin_count: dict[int, int] = {}  # open-bin uid -> items ever
         self._adaptive: set[int] = set()  # uids with unknown departure
         self._pending_bin: Optional[Bin] = None
-        self._index: Optional[OpenBinIndex] = OpenBinIndex() if indexed else None
-        if isinstance(listener, (list, tuple)):
-            listener = (
-                None
-                if not listener
-                else listener[0]
-                if len(listener) == 1
-                else ListenerFanout(listener)
-            )
-        self._listener = listener
-        self._bind_listener(listener)
+        self._indexed = indexed
+        self._index: Optional[OpenBinIndex] = None  # see _build_index
+        self._listener: Optional[KernelListener] = None
+        self.set_listeners(
+            listener if isinstance(listener, (list, tuple)) else [listener]
+        )
+        self._bind_listener(self._listener)
         self._facade = facade if facade is not None else self
         # record-mode history (stays empty unless record=True)
         self._items: List[Item] = []
@@ -422,29 +431,48 @@ class PlacementKernel:
 
     @property
     def indexed(self) -> bool:
-        """Whether the O(log n) open-bin index is maintained."""
-        return self._index is not None
+        """Whether candidate queries use the O(log n) open-bin index."""
+        return self._indexed
 
     def set_indexed(self, flag: bool) -> None:
-        """Switch the open-bin index on or off, mid-run.
-
-        Turning it on rebuilds the index over the current open bins in
-        opening order (identical query results from the next placement
-        on); turning it off falls back to linear scans.  The restore
-        paths use this to honour ``--no-index`` on resumed engines,
-        whatever the checkpointed run used.
+        """Switch the open-bin index on or off, mid-run (identical query
+        results either way).  The restore paths use this to honour
+        ``--no-index`` on resumed engines, whatever the checkpointed run
+        used.
         """
-        if flag and self._index is None:
-            index = OpenBinIndex()
-            for b in self._open.values():
-                index.add(b)
-            self._index = index
-        elif not flag:
+        self._indexed = flag
+        if not flag:
             self._index = None
+
+    def _build_index(self) -> bool:
+        """Build the index over the open bins, in opening order, if the
+        kernel is indexed; return whether it was.  The first query calls
+        this, and every load change keeps the index current after it."""
+        if self._indexed:
+            self._index = OpenBinIndex()
+            for b in self._open.values():
+                self._index.add(b)
+        return self._indexed
 
     def is_open(self, uid: int) -> bool:
         """Whether bin ``uid`` is currently open (O(1))."""
         return uid in self._open
+
+    @property
+    def listeners(self) -> List[KernelListener]:
+        """The attached listeners, in dispatch order."""
+        listener = self._listener
+        if isinstance(listener, ListenerFanout):
+            return list(listener.listeners)
+        return [] if listener is None else [listener]
+
+    def set_listeners(self, listeners) -> None:
+        """Replace the listener chain; binds nothing (see :meth:`add_listener`)."""
+        listeners = [lst for lst in listeners if lst is not None]
+        self._listener = (
+            ListenerFanout(listeners) if len(listeners) > 1
+            else listeners[0] if listeners else None
+        )
 
     def add_listener(self, listener: KernelListener) -> None:
         """Attach one more :class:`KernelListener` (fan-out on demand).
@@ -453,12 +481,7 @@ class PlacementKernel:
         onto an already-constructed kernel — e.g. after a checkpoint
         restore, which drops listeners by design.
         """
-        if self._listener is None:
-            self._listener = listener
-        elif isinstance(self._listener, ListenerFanout):
-            self._listener.listeners.append(listener)
-        else:
-            self._listener = ListenerFanout([self._listener, listener])
+        self.set_listeners([*self.listeners, listener])
         self._bind_listener(listener)
 
     def _bind_listener(self, listener) -> None:
@@ -495,7 +518,7 @@ class PlacementKernel:
     # -- indexed candidate queries -------------------------------------- #
     def first_fit(self, item: Item) -> Optional[Bin]:
         """Earliest-opened open bin that fits ``item``, else ``None``."""
-        if self._index is not None:
+        if self._index is not None or self._build_index():
             b = self._index.first_fit(item.size - LOAD_EPS)
             if b is None or b.fits(item):
                 return b
@@ -506,7 +529,7 @@ class PlacementKernel:
 
     def best_fit(self, item: Item) -> Optional[Bin]:
         """Fullest fitting bin (ties to the earliest-opened), else ``None``."""
-        if self._index is not None:
+        if self._index is not None or self._build_index():
             b = self._index.best_fit(item.size - LOAD_EPS)
             if b is None or b.fits(item):
                 return b
@@ -521,7 +544,7 @@ class PlacementKernel:
 
     def worst_fit(self, item: Item) -> Optional[Bin]:
         """Emptiest fitting bin (ties to the earliest-opened), else ``None``."""
-        if self._index is not None:
+        if self._index is not None or self._build_index():
             b = self._index.worst_fit(item.size - LOAD_EPS)
             if b is None or b.fits(item):
                 return b
@@ -535,7 +558,7 @@ class PlacementKernel:
 
     def last_fit(self, item: Item) -> Optional[Bin]:
         """Latest-opened open bin that fits ``item``, else ``None``."""
-        if self._index is not None:
+        if self._index is not None or self._build_index():
             b = self._index.last_fit(item.size - LOAD_EPS)
             if b is None or b.fits(item):
                 return b
@@ -639,6 +662,9 @@ class PlacementKernel:
             elif arrival > self.time:  # _advance's no-departure tail
                 if self._listener is not None:
                     self._listener.on_advance(arrival)
+                now = self.time
+                if now > _NEG_INF:
+                    self.util_area += self.load * (arrival - now)
                 self.time = arrival
             departure = d if d == d else None
             if departure is None and not masked:
@@ -656,6 +682,10 @@ class PlacementKernel:
                 self._seq += 1
             else:
                 self._adaptive.add(uid)
+            self.arrivals += 1
+            self.load = load = self.load + size
+            if load > self.peak_load:
+                self.peak_load = load
             listener = self._listener
             if listener is not None:
                 listener.on_arrival(item, bin_, opened)
@@ -673,6 +703,10 @@ class PlacementKernel:
             self._seq += 1
         else:
             self._adaptive.add(item.uid)
+        self.arrivals += 1
+        self.load = load = self.load + item.size
+        if load > self.peak_load:
+            self.peak_load = load
         if self._listener is not None:
             self._listener.on_arrival(item, bin_, opened)
         return bin_
@@ -761,23 +795,32 @@ class PlacementKernel:
                 break
             heapq.heappop(dq)
             self._do_departure(uid, t)
-        if until > self.time:
+        now = self.time
+        if until > now:
             if self._listener is not None:
                 self._listener.on_advance(until)
+            if now > _NEG_INF:
+                self.util_area += self.load * (until - now)
             self.time = until
 
     def _do_departure(self, uid: int, t: float) -> None:
         listener = self._listener
         timed = listener is not None and listener.timed
         t0 = _time.perf_counter() if timed else 0.0
-        if t > self.time:
+        now = self.time
+        if t > now:
             if listener is not None:
                 listener.on_advance(t)
+            if now > _NEG_INF:
+                self.util_area += self.load * (t - now)
             self.time = t
         bin_ = self._item_bin.pop(uid, None)
         if bin_ is None:
             return  # already departed (duplicate schedule), ignore
         removed = bin_._remove(uid)
+        self.departures += 1
+        # an idle kernel's load is exactly 0 (no floating residue)
+        self.load = self.load - removed.size if self._item_bin else 0.0
         if self.record:
             self._departed_at[uid] = t
         hook = self._dep_hook
@@ -806,6 +849,7 @@ class PlacementKernel:
         n_items = self._bin_count.pop(bin_.uid, 0)
         usage = t - bin_.opened_at
         self.closed_usage += usage
+        self.bins_closed += 1
         self._sum_opened_at -= bin_.opened_at
         if not self._open:
             self._sum_opened_at = 0.0  # kill floating residue when idle
@@ -847,6 +891,9 @@ class PlacementKernel:
             chosen._add(view)
             self._open[uid] = chosen
             self._sum_opened_at += chosen.opened_at
+            self.bins_opened += 1
+            if len(self._open) > self.max_open:
+                self.max_open = len(self._open)
             if self._index is not None:
                 self._index.add(chosen)
             if self.open_count_events is not None:
@@ -893,6 +940,8 @@ class PlacementKernel:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        # blobs from before the index was built lazily lack the flag
+        self.__dict__.setdefault("_indexed", self._index is not None)
         if self._facade is None:
             self._facade = self
         # also covers pre-columnar (v2-era) blobs, which lack the caches

@@ -1,160 +1,93 @@
 """Incremental MinUsageTime accounting for the streaming engine.
 
 The batch path derives cost and ``ON_t`` *post mortem* from the full list
-of :class:`~repro.core.bins.BinRecord`; that is O(n) space and O(n log n)
-work per query.  This module maintains the same quantities as running
-state updated in O(1) per event (the engine's heap operations are the
-O(log n) part), so cost and the open-bin count are queryable at any moment
-mid-stream with no stored history.
-
-Exact-parity invariant: ``closed_usage`` accumulates per-bin usages *in
-close order*, which is precisely the summation order of
-``PackingResult.cost`` (records are appended at close).  Floating-point
-addition order therefore matches and the final costs are bit-identical —
-the property the parity suite pins down.
-
-The running cost of *open* bins uses the identity::
-
-    Σ_open (t - opened_at)  =  open_count · t - Σ_open opened_at
-
-so a mid-stream cost query is O(1) off ``sum_opened_at``, maintained by
-add/subtract at open/close.
+of :class:`~repro.core.bins.BinRecord`.  The
+:class:`~repro.core.kernel.PlacementKernel` instead keeps the same
+quantities as running counters, updated in O(1) at each event, so cost
+and the open-bin count are queryable mid-stream with no stored history;
+:class:`RunningAccounting` is the engine's read-only view of them.
+``closed_usage`` accumulates per-bin usages in close order — the
+summation order of ``PackingResult.cost`` — so final costs are
+bit-identical, and open bins are priced in O(1) by the identity
+``Σ_open (t - opened_at) = open_count · t - Σ_open opened_at``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional
 
 __all__ = ["RunningAccounting"]
 
 
+def _counter(name: str, doc: str) -> property:
+    return property(lambda self: getattr(self._kernel, name), doc=doc)
+
+
 class RunningAccounting:
-    """Running totals over a stream of packing events.
+    """Read-only view of a :class:`~repro.core.kernel.PlacementKernel`'s
+    running counters.  Checkpoints from before the kernel owned them
+    pickled an instance holding them: unpickled, its ``legacy_state``
+    carries them, and :func:`repro.engine.checkpoint.restore` moves them
+    onto the kernel."""
 
-    Parameters
-    ----------
-    record_profile:
-        When true, keep the ``(time, ±1)`` open-bin-count deltas so the
-        full ``ON_t`` step function can be reconstructed afterwards.  Off
-        by default — the delta list grows with the trace, and constant
-        memory is the engine's contract.
-    """
+    def __init__(self, kernel) -> None:
+        self._kernel = kernel
 
-    __slots__ = (
-        "time",
-        "closed_usage",
-        "open_count",
-        "max_open",
-        "sum_opened_at",
-        "load",
-        "peak_load",
-        "util_area",
-        "arrivals",
-        "departures",
-        "bins_opened",
-        "bins_closed",
-        "profile_deltas",
-    )
-
-    def __init__(self, *, record_profile: bool = False) -> None:
-        self.time: float = -math.inf
-        self.closed_usage: float = 0.0
-        self.open_count: int = 0
-        self.max_open: int = 0
-        self.sum_opened_at: float = 0.0
-        self.load: float = 0.0  #: total size of active items
-        self.peak_load: float = 0.0  #: max_t S_t over the stream so far
-        self.util_area: float = 0.0  #: ∫ load dt — space–time demand served
-        self.arrivals: int = 0
-        self.departures: int = 0
-        self.bins_opened: int = 0
-        self.bins_closed: int = 0
-        self.profile_deltas: Optional[List[Tuple[float, int]]] = (
-            [] if record_profile else None
-        )
-
-    # ------------------------------------------------------------------ #
-    # Event hooks (called by the engine, in event order)
-    # ------------------------------------------------------------------ #
-    def advance(self, t: float) -> None:
-        """Move the clock to ``t``, integrating the load profile."""
-        if t > self.time:
-            if math.isfinite(self.time):
-                self.util_area += self.load * (t - self.time)
-            self.time = t
-
-    def on_arrival(self, size: float) -> None:
-        self.arrivals += 1
-        self.load += size
-        if self.load > self.peak_load:
-            self.peak_load = self.load
-
-    def on_departure(self, size: float, *, any_active: bool) -> None:
-        self.departures += 1
-        self.load -= size
-        if not any_active:
-            self.load = 0.0  # kill floating residue when idle
-
-    def on_open(self, opened_at: float) -> None:
-        self.bins_opened += 1
-        self.open_count += 1
-        self.sum_opened_at += opened_at
-        if self.open_count > self.max_open:
-            self.max_open = self.open_count
-        if self.profile_deltas is not None:
-            self.profile_deltas.append((opened_at, +1))
-
-    def on_close(self, opened_at: float, closed_at: float) -> float:
-        """Account a bin closing; returns its usage contribution."""
-        usage = closed_at - opened_at
-        self.closed_usage += usage
-        self.open_count -= 1
-        self.sum_opened_at -= opened_at
-        if self.open_count == 0:
-            self.sum_opened_at = 0.0  # same residue-killing as Bin._remove
-        if self.profile_deltas is not None:
-            self.profile_deltas.append((closed_at, -1))
-        self.bins_closed += 1
-        return usage
+    time = _counter("time", "The kernel's clock (``-inf`` before any event).")
+    closed_usage = _counter("closed_usage", "Closed bins' usage, in close order.")
+    open_count = _counter("open_bin_count", "Bins open right now.")
+    max_open = _counter("max_open", "Peak simultaneous open bins so far.")
+    sum_opened_at = _counter("_sum_opened_at", "Σ opened_at over open bins.")
+    load = _counter("load", "Total size of active items.")
+    peak_load = _counter("peak_load", "max_t S_t over the stream so far.")
+    util_area = _counter("util_area", "∫ load dt — space–time demand served.")
+    arrivals = _counter("arrivals", "Items placed so far.")
+    departures = _counter("departures", "Items departed so far.")
+    bins_opened = _counter("bins_opened", "Bins opened so far.")
+    bins_closed = _counter("bins_closed", "Bins closed so far.")
+    profile_deltas = _counter("open_count_events", "ON_t deltas, or ``None``.")
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def cost_at(self, t: Optional[float] = None) -> float:
         """Usage time of closed bins plus open bins up to ``t`` (O(1))."""
+        kernel = self._kernel
         if t is None:
-            t = self.time
+            t = kernel.time
         if not math.isfinite(t):
             t = 0.0
-        return self.closed_usage + self.open_count * t - self.sum_opened_at
+        return kernel.closed_usage + kernel.open_bin_count * t - kernel._sum_opened_at
 
     @property
     def cost(self) -> float:
         """Final cost once the stream is drained (no open bins left)."""
-        return self.closed_usage
+        return self._kernel.closed_usage
 
     def open_profile(self):
         """``ON_t`` as a :class:`~repro.core.profile.LoadProfile`.
 
-        Requires ``record_profile=True``; raises otherwise.
+        Requires an engine built with ``record_profile=True``; raises
+        otherwise.
         """
-        if self.profile_deltas is None:
+        deltas = self.profile_deltas
+        if deltas is None:
             raise ValueError(
-                "open_profile() needs RunningAccounting(record_profile=True)"
+                "open_profile() needs an Engine built with record_profile=True"
             )
         import numpy as np
 
         from ..core.profile import LoadProfile
 
-        if not self.profile_deltas:
+        if not deltas:
             return LoadProfile(np.asarray([0.0]), np.zeros(0))
-        times = np.asarray([t for t, _ in self.profile_deltas])
-        deltas = np.asarray([d for _, d in self.profile_deltas], dtype=float)
+        times = np.asarray([t for t, _ in deltas])
+        steps = np.asarray([d for _, d in deltas], dtype=float)
         order = np.argsort(times, kind="stable")
-        times, deltas = times[order], deltas[order]
+        times, steps = times[order], steps[order]
         bps, start_idx = np.unique(times, return_index=True)
-        sums = np.add.reduceat(deltas, start_idx)
+        sums = np.add.reduceat(steps, start_idx)
         values = np.round(np.cumsum(sums)[:-1])
         return LoadProfile(bps, values)
 
@@ -175,8 +108,9 @@ class RunningAccounting:
 
     def to_dict(self) -> dict:
         """A JSON-friendly snapshot of every running total."""
+        time = self.time
         return {
-            "time": self.time if math.isfinite(self.time) else None,
+            "time": time if math.isfinite(time) else None,
             "cost_so_far": self.cost_at(),
             "closed_usage": self.closed_usage,
             "open_count": self.open_count,
@@ -190,13 +124,10 @@ class RunningAccounting:
             "bins_closed": self.bins_closed,
         }
 
-    # pickling support for __slots__ (checkpointing)
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
+    def __setstate__(self, state: dict) -> None:
+        # only pre-view checkpoint blobs pickle this class
+        self._kernel = None
+        self.legacy_state = state
 
     def __repr__(self) -> str:
         return (

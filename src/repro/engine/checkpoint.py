@@ -13,12 +13,12 @@ active bin), and a joint pickle is what preserves that identity —
 pickling them separately would silently duplicate bins and desynchronise
 the restored run.
 
-What is captured: the kernel (with the algorithm inside it), the
-:class:`~repro.engine.accounting.RunningAccounting`, the ``record`` flag
-and optional metrics.  What is *not*: observers (may close over file
-handles; re-``subscribe`` after restore) and the trace source — the
-caller resumes the stream at item index ``checkpoint.arrivals``
-(``repro-dbp replay --resume`` does exactly that, see the CLI).
+What is captured: the kernel (with the algorithm and the running
+counters inside it), the ``record`` flag and optional metrics.  What is
+*not*: observers (may close over file handles; re-``subscribe`` after
+restore) and the trace source — the caller resumes the stream at item
+index ``checkpoint.arrivals`` (``repro-dbp replay --resume`` does
+exactly that, see the CLI).
 
 Version history: **v1** pickled the pre-kernel engine's flat attribute
 dict (PR 1); **v2** pickles the kernel-backed state; **v3** (current)
@@ -28,7 +28,10 @@ object graph into four struct-of-arrays columns stored next to the blob
 blob shrinks to pure kernel/algorithm state and restoring rebuilds each
 distinct item exactly once.  v2 files remain loadable (the columns field
 is simply absent); v1 files are rejected with an explicit error rather
-than a pickle/attribute failure.
+than a pickle/attribute failure.  Blobs written before the kernel owned
+the running counters (every v2 file, and v3 files from that era) also
+carry a :class:`~repro.engine.accounting.RunningAccounting` holding
+them; :func:`restore` moves those counters onto the kernel.
 
 Restoring never calls ``algorithm.reset()`` — the algorithm continues
 from its pickled private state.  The parity guarantee carries over: a
@@ -48,6 +51,7 @@ from typing import Optional, Tuple, Union
 
 from ..core.errors import CheckpointError, SimulationError
 from ..core.item import Item, item_view
+from .accounting import RunningAccounting
 from .loop import Engine
 
 __all__ = [
@@ -69,9 +73,13 @@ COMPAT_VERSIONS = (2, 3)
 _STATE_ATTRS = (
     "_kernel",  # owns algorithm, bins, heap, counters, record history
     "record",
-    "accounting",
     "metrics",
 )
+
+#: counters older blobs kept on a pickled RunningAccounting; restore()
+#: moves them onto the kernel (and ``profile_deltas`` to its event log)
+_LEGACY_COUNTERS = ("arrivals", "departures", "bins_opened", "bins_closed",
+                    "max_open", "load", "peak_load", "util_area")
 
 _NAN = math.nan
 
@@ -225,8 +233,9 @@ def restore(checkpoint: Checkpoint) -> Engine:
     The result is fully independent of the engine that produced the
     snapshot (the blob round-trip deep-copies everything), with no
     observers, no tracer, no extra listeners, and whatever metrics were
-    captured.  The kernel's listener and facade hooks (dropped at pickle
-    time) are re-wired to the new engine; re-attach observability via
+    captured.  The kernel's facade hook (dropped at pickle time) is
+    re-wired to the new engine, which re-registers as the kernel's
+    listener when it has metrics; re-attach observability via
     :meth:`~repro.engine.loop.Engine.attach_tracer` /
     :meth:`~repro.engine.loop.Engine.attach_listener`.
     """
@@ -253,17 +262,23 @@ def restore(checkpoint: Checkpoint) -> Engine:
             "checkpoint blob does not contain engine state "
             f"(expected keys {_STATE_ATTRS})"
         )
+    kernel = state["_kernel"]
+    legacy = state.get("accounting")
+    if legacy is not None and "arrivals" not in vars(kernel):
+        counters = legacy.legacy_state
+        for name in _LEGACY_COUNTERS:
+            setattr(kernel, name, counters[name])
+        kernel.open_count_events = counters["profile_deltas"]
     engine = object.__new__(Engine)
-    for name, value in state.items():
-        setattr(engine, name, value)
+    engine._kernel = kernel
+    engine.record = state["record"]
     engine._observers = []
     engine._last_opened = False
-    engine._last_item = None
     engine.tracer = None
     engine.invariants = None  # monitors, like observers, are re-attached
-    kernel = engine._kernel
-    kernel._listener = engine
+    engine.accounting = RunningAccounting(kernel)
     kernel._facade = engine
+    engine.metrics = state["metrics"]
     return engine
 
 

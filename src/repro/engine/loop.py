@@ -10,12 +10,11 @@ before arrivals at equal times, release-order tie-breaks, bins close the
 moment they empty, clairvoyance enforced by masking) are *identical by
 construction*, not by mirroring.  What the engine layers on top:
 
-- **Incremental accounting.**  The engine registers as the kernel's
-  listener and folds every event into
-  :class:`~repro.engine.accounting.RunningAccounting` in O(1) per event
-  (O(log n) including the heap), so ``ON_t``, cost, load and utilisation
-  are queryable at any moment mid-stream — no whole-instance
-  recomputation, no stored history.
+- **Incremental accounting.**  The kernel keeps every running counter in
+  O(1) per event (O(log n) including the heap); ``Engine.accounting``
+  is a read view of them, so ``ON_t``, cost, load and utilisation are
+  queryable at any moment mid-stream — no whole-instance recomputation,
+  no stored history.
 - **Constant memory.**  By default nothing proportional to the trace is
   retained: resident state is the open bins and the pending-departure
   heap.  Pass ``record=True`` to additionally keep items, records and the
@@ -24,7 +23,9 @@ construction*, not by mirroring.  What the engine layers on top:
   this; it restores the batch path's memory profile).
 - **Observability.**  Optional per-event metrics
   (:class:`~repro.engine.metrics.EngineMetrics`) and observer callbacks
-  receiving typed :class:`~repro.engine.events.Event` records.
+  receiving typed :class:`~repro.engine.events.Event` records; without
+  either, the engine does not listen to the kernel at all and
+  :meth:`Engine.feed_store` runs the kernel's column loop.
 
 Per-bin usage is accumulated in close order inside the kernel, so the
 final cost is bit-for-bit equal to ``simulate()``'s (the regression guard
@@ -36,11 +37,12 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, List, Optional
 
 from ..core.bins import Bin, BinRecord
 from ..core.instance import Instance
-from ..core.item import Item
+from ..core.item import Item, item_view
 from ..core.kernel import KernelListener, PlacementKernel
 from ..core.result import PackingResult
 from ..core.store import ItemStore
@@ -83,7 +85,7 @@ class EngineSummary:
         }
 
 
-class Engine:
+class Engine(KernelListener):
     """Event-driven streaming replacement for batch ``simulate()``.
 
     Parameters
@@ -97,7 +99,7 @@ class Engine:
     metrics:
         Optional :class:`~repro.engine.metrics.EngineMetrics`; updated
         per event when present, at the price of two clock reads per
-        event.
+        event.  May be assigned later (``engine.metrics = m``).
     record:
         Keep full history (items, bin records, assignment) so
         :meth:`result` works.  Off by default — on, memory grows with
@@ -143,14 +145,11 @@ class Engine:
         listeners: tuple = (),
         invariants=None,
     ) -> None:
-        self.metrics = metrics
         self.record = record
         self.tracer = tracer
         self.invariants = invariants
-        self.accounting = RunningAccounting(record_profile=record_profile)
         self._observers: List[Callable[[Event], None]] = []
         self._last_opened = False
-        self._last_item: Optional[Item] = None
         extra: List[KernelListener] = list(listeners)
         if tracer is not None and tracer.enabled:
             extra.append(TracingListener(tracer))
@@ -162,10 +161,13 @@ class Engine:
             algorithm,
             capacity=capacity,
             record=record,
+            record_events=record_profile,
             indexed=indexed,
-            listener=self if not extra else [self, *extra],
+            listener=extra,
             facade=self,
         )
+        self.accounting = RunningAccounting(self._kernel)
+        self.metrics = metrics
 
     # ------------------------------------------------------------------ #
     # The `sim` facade algorithms see (SimulationView protocol)
@@ -194,7 +196,7 @@ class Engine:
     @property
     def cost_so_far(self) -> float:
         """Closed usage plus open bins' usage up to the current clock."""
-        return self.accounting.cost_at(self._kernel.time)
+        return self._kernel.cost_so_far
 
     @property
     def indexed(self) -> bool:
@@ -252,6 +254,7 @@ class Engine:
         file handles); re-subscribe after a restore.
         """
         self._observers.append(observer)
+        self._sync_listener()
 
     def _emit(self, event: Event) -> None:
         for obs in self._observers:
@@ -276,23 +279,28 @@ class Engine:
             self.attach_listener(TracingListener(tracer))
 
     # ------------------------------------------------------------------ #
-    # Kernel listener callbacks: fold events into accounting/metrics
+    # Kernel listener callbacks: feed metrics and observers
     # ------------------------------------------------------------------ #
+    @property
+    def metrics(self) -> Optional[EngineMetrics]:
+        """The per-event :class:`EngineMetrics`, or ``None`` (off)."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, metrics: Optional[EngineMetrics]) -> None:
+        self._metrics = metrics
+        self._sync_listener()
+
+    def _sync_listener(self) -> None:
+        """Be the kernel's first listener iff metrics or observers need it."""
+        others = [lst for lst in self._kernel.listeners if lst is not self]
+        wanted = self._metrics is not None or bool(self._observers)
+        self._kernel.set_listeners([self, *others] if wanted else others)
+
     @property
     def timed(self) -> bool:
         """Whether the kernel should time departures (for metrics)."""
-        return self.metrics is not None
-
-    def on_advance(self, t: float) -> None:
-        self.accounting.advance(t)
-
-    def on_open(self, bin_: Bin) -> None:
-        self.accounting.on_open(bin_.opened_at)
-
-    def on_arrival(self, item: Item, bin_: Bin, opened: bool) -> None:
-        self.accounting.on_arrival(item.size)
-        self._last_opened = opened
-        self._last_item = item
+        return self._metrics is not None
 
     def on_departure(
         self,
@@ -303,16 +311,13 @@ class Engine:
         closed: bool,
         elapsed: float,
     ) -> None:
-        self.accounting.on_departure(
-            removed.size, any_active=self._kernel.has_active
-        )
-        if self.metrics is not None:
-            self.metrics.on_departure(elapsed)
+        if self._metrics is not None:
+            self._metrics.on_departure(elapsed)
         if self._observers:
             self._emit(
                 DepartureEvent(
                     time=t,
-                    seq=self.accounting.departures,
+                    seq=self._kernel.departures,
                     uid=uid,
                     bin_uid=bin_.uid,
                     size=removed.size,
@@ -323,9 +328,8 @@ class Engine:
     def on_close(
         self, bin_: Bin, t: float, usage: float, peak: float, n_items: int
     ) -> None:
-        self.accounting.on_close(bin_.opened_at, t)
-        if self.metrics is not None:
-            self.metrics.on_bin_close(
+        if self._metrics is not None:
+            self._metrics.on_bin_close(
                 n_items=n_items,
                 peak_load=peak,
                 capacity=self.capacity,
@@ -341,28 +345,10 @@ class Engine:
         Processes all scheduled departures up to the item's arrival
         first — the kernel's semantics, shared with the batch simulator.
         """
-        t0 = _time.perf_counter() if self.metrics is not None else 0.0
-        self._last_opened = False
+        t0 = _time.perf_counter() if self._metrics is not None else 0.0
+        opened = self._kernel.bins_opened
         bin_ = self._kernel.release(item)
-        if self.metrics is not None:
-            capacity = bin_.capacity
-            self.metrics.on_arrival(
-                _time.perf_counter() - t0,
-                opened=self._last_opened,
-                residual=bin_.residual() / capacity if capacity else 0.0,
-                open_bins=self._kernel.open_bin_count,
-            )
-        if self._observers:
-            self._emit(
-                ArrivalEvent(
-                    time=self._kernel.time,
-                    seq=self.accounting.arrivals,
-                    item=item,
-                    bin_uid=bin_.uid,
-                    opened=self._last_opened,
-                )
-            )
-        return bin_
+        return self._placed(bin_, opened, t0, item)
 
     def feed_values(
         self,
@@ -378,25 +364,33 @@ class Engine:
         shards and the chunked replay path never allocate caller-side
         :class:`Item` objects.
         """
-        t0 = _time.perf_counter() if self.metrics is not None else 0.0
-        self._last_opened = False
+        t0 = _time.perf_counter() if self._metrics is not None else 0.0
+        opened = self._kernel.bins_opened
         bin_ = self._kernel.release_values(arrival, departure, size, uid)
-        if self.metrics is not None:
+        item = item_view(arrival, departure, size, uid) if self._observers else None
+        return self._placed(bin_, opened, t0, item)
+
+    def _placed(self, bin_: Bin, opened_before: int, t0: float, item) -> Bin:
+        """The per-arrival metrics and observer work of the feed paths."""
+        kernel = self._kernel
+        self._last_opened = opened = kernel.bins_opened != opened_before
+        metrics = self._metrics
+        if metrics is not None:
             capacity = bin_.capacity
-            self.metrics.on_arrival(
+            metrics.on_arrival(
                 _time.perf_counter() - t0,
-                opened=self._last_opened,
+                opened=opened,
                 residual=bin_.residual() / capacity if capacity else 0.0,
-                open_bins=self._kernel.open_bin_count,
+                open_bins=kernel.open_bin_count,
             )
         if self._observers:
             self._emit(
                 ArrivalEvent(
-                    time=self._kernel.time,
-                    seq=self.accounting.arrivals,
-                    item=self._last_item,
+                    time=kernel.time,
+                    seq=kernel.arrivals,
+                    item=item,
                     bin_uid=bin_.uid,
-                    opened=self._last_opened,
+                    opened=opened,
                 )
             )
         return bin_
@@ -412,15 +406,17 @@ class Engine:
         """Feed rows ``[start, stop)`` of an :class:`ItemStore` in order.
 
         Returns the number of rows fed.  The per-arrival work is exactly
-        :meth:`feed_values`, looped over the store's raw columns.
+        :meth:`feed_values`; with no metrics or observers to feed per
+        arrival, the whole window goes to the kernel's column loop.
         """
+        if self._metrics is None and not self._observers:
+            return self._kernel.release_store(store, start, stop)
         arr, dep, siz, uids, w0, w1 = store.columns()
         lo = w0 + start
         hi = w1 if stop is None else w0 + stop
         feed = self.feed_values
-        for j in range(lo, hi):
-            d = dep[j]
-            feed(arr[j], d if d == d else None, siz[j], uids[j])
+        for arrival, d, size, uid in islice(zip(arr, dep, siz, uids), lo, hi):
+            feed(arrival, d if d == d else None, size, uid)
         return hi - lo
 
     def depart(self, uid: int, time: float) -> None:
@@ -471,20 +467,19 @@ class Engine:
     # Results
     # ------------------------------------------------------------------ #
     def summary(self) -> EngineSummary:
-        acc = self.accounting
         kernel = self._kernel
         return EngineSummary(
             algorithm=getattr(
                 kernel.algorithm, "name", type(kernel.algorithm).__name__
             ),
             capacity=kernel.capacity,
-            items=acc.arrivals,
-            cost=acc.cost_at(kernel.time),
-            bins_opened=acc.bins_opened,
-            bins_closed=acc.bins_closed,
-            max_open=acc.max_open,
-            peak_load=acc.peak_load,
-            util_area=acc.util_area,
+            items=kernel.arrivals,
+            cost=kernel.cost_so_far,
+            bins_opened=kernel.bins_opened,
+            bins_closed=kernel.bins_closed,
+            max_open=kernel.max_open,
+            peak_load=kernel.peak_load,
+            util_area=kernel.util_area,
             final_time=kernel.time if math.isfinite(kernel.time) else None,
         )
 
@@ -500,7 +495,7 @@ class Engine:
         return (
             f"Engine(algorithm={name!r}, t={kernel.time:g}, "
             f"open={kernel.open_bin_count}, "
-            f"cost={self.accounting.cost_at(kernel.time):.6g})"
+            f"cost={kernel.cost_so_far:.6g})"
         )
 
 

@@ -290,11 +290,14 @@ def error_reply(code: str, message: str, *, seq=None, **fields) -> dict:
     return reply
 
 
+#: one shared encoder: ``json.dumps`` with any non-default argument
+#: builds a fresh ``JSONEncoder`` per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=float)
+
+
 def encode(obj: dict) -> bytes:
     """One reply/request as a wire line (compact JSON + newline)."""
-    return (
-        json.dumps(obj, separators=(",", ":"), default=float) + "\n"
-    ).encode("utf-8")
+    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
 
 
 def decode(line: Union[str, bytes]) -> dict:

@@ -405,8 +405,13 @@ class PlacementServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    # oversized line or reset: answer if we can, then close
+                except ConnectionError:
+                    break  # reset by the peer: nobody left to answer
+                except ValueError:
+                    # oversized line: answer, then close
+                    self._count_error("bad-request")
+                    if self.telemetry is not None:
+                        self.telemetry.parse_error("bad-request")
                     conn.out.put_nowait(
                         error_reply("bad-request", "line too long")
                     )

@@ -16,7 +16,7 @@ of keys onto shards is stable across runs and machines.  Requests
 sharing a key always reach the same shard; a key's sub-stream is
 therefore processed in submission order.
 
-Checkpointing writes the engine's **v2 checkpoint**
+Checkpointing writes the engine's **v3 checkpoint**
 (:mod:`repro.engine.checkpoint` — the joint kernel+algorithm pickle)
 plus a small JSON sidecar holding the shard's service-level state (the
 live adaptive-item id map).  :meth:`PlacementShard.restore` rebuilds a
@@ -35,7 +35,7 @@ from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple, Union
 
 from ..core.errors import ClairvoyanceError, PackingError, SimulationError
-from ..core.store import ItemStore
+from ..core.store import validate_item_values
 from ..engine.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -52,10 +52,6 @@ __all__ = ["HashRing", "PlacementShard", "stable_hash"]
 
 #: sentinel that stops a shard worker (queue-ordered, after pending work)
 _STOP = object()
-
-#: decode-scratch recycling threshold, in rows (28 B each) — the bound
-#: that keeps per-shard memory independent of the request count
-_SCRATCH_ROWS = 4096
 
 #: bound of the ``(client, seq) → reply`` retry-dedup cache, in entries
 #: (FIFO eviction; must exceed any client's in-flight × retry window)
@@ -164,10 +160,6 @@ class PlacementShard:
         self.telemetry = None
         self._narrator = None
         self._adaptive_uids: dict[str, int] = {}  # live unknown-departure ids
-        #: columnar decode buffer: arrive payloads land here as store
-        #: rows (validated once, no boxed Item per request) before the
-        #: engine reads them off; recycled so memory stays O(1)
-        self._scratch = ItemStore()
         self._task: Optional[asyncio.Task] = None
         self._now = clock if clock is not None else _time.perf_counter
         #: at-most-once retry dedup: ``(client, seq) → ok reply``.  The
@@ -351,7 +343,6 @@ class PlacementShard:
             (client, seq): reply
             for client, seq, reply in (meta.get("applied") or [])
         }
-        self._scratch = ItemStore()
         self._durable = None
         self.crashed = False
         self._task = None
@@ -431,24 +422,23 @@ class PlacementShard:
                 seq=req.seq, id=req.id, shard=self.shard_id,
             )
         uid = self.engine.accounting.arrivals  # sequential per shard
-        scratch = self._scratch
-        if len(scratch) >= _SCRATCH_ROWS:
-            scratch.clear()
-        row = scratch.append(req.arrival, req.departure, req.size, uid)
+        # requests built without parse_request (tests, embedding code)
+        # are validated only here
+        validate_item_values(req.arrival, req.departure, req.size)
         t0 = self._now()
         try:
-            bin_ = self.engine.feed_row(scratch, row)
+            bin_ = self.engine.feed_values(
+                req.arrival, req.departure, req.size, uid
+            )
         except ClairvoyanceError as exc:
             # an adaptive item needs a non-clairvoyant algorithm — a
             # client mistake, not a server fault
-            scratch.pop()  # the row never reached the kernel
             self.rejected += 1
             return error_reply(
                 "bad-item", str(exc),
                 seq=req.seq, id=req.id, shard=self.shard_id,
             )
         except SimulationError as exc:
-            scratch.pop()
             self.rejected += 1
             return error_reply(
                 "out-of-order", str(exc),
@@ -534,7 +524,7 @@ class PlacementShard:
         }
 
     # ------------------------------------------------------------------ #
-    # Checkpoint / restore (v2 engine checkpoint + service sidecar)
+    # Checkpoint / restore (v3 engine checkpoint + service sidecar)
     # ------------------------------------------------------------------ #
     def _meta(self) -> dict:
         """Service-level sidecar state (JSON-serializable)."""

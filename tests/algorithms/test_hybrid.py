@@ -4,6 +4,10 @@ import math
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms.anyfit import BEST_FIT, FIRST_FIT, LAST_FIT, WORST_FIT
 from repro.algorithms.hybrid import (
     CD_TAG,
     GN_TAG,
@@ -15,6 +19,7 @@ from repro.core.instance import Instance
 from repro.core.simulation import IncrementalSimulation, simulate
 from repro.core.item import Item
 from repro.core.validate import audit
+from repro.workloads import poisson_random, uniform_random
 
 
 def tags(result):
@@ -173,3 +178,64 @@ class TestAblationKnobs:
 
     def test_custom_name(self):
         assert HybridAlgorithm(name="HA-x").name == "HA-x"
+
+
+class ListThenRuleHA(HybridAlgorithm):
+    """Reference HA: list every fitting bin, then apply the rule."""
+
+    def _place_gn(self, item, sim):
+        candidates = [b for b in self._gn_bins if b.fits(item)]
+        if candidates:
+            return self.rule(candidates, item)
+        b = sim.open_bin(tag=(GN_TAG,))
+        self._gn_bins.append(b)
+        self._max_gn_open = max(self._max_gn_open, len(self._gn_bins))
+        return b
+
+    def _place_cd(self, item, T, sim):
+        bins = self._cd_bins.setdefault(T, [])
+        candidates = [b for b in bins if b.fits(item)]
+        if candidates:
+            return self.rule(candidates, item)
+        b = sim.open_bin(tag=(CD_TAG, T))
+        bins.append(b)
+        return b
+
+
+RULES = [FIRST_FIT, LAST_FIT, BEST_FIT, WORST_FIT]
+
+# a coarse grid: equal residuals and exact fills make the rules' ties bite
+grid_instances = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12).map(lambda k: k * 0.5),
+        st.integers(min_value=1, max_value=16).map(lambda k: k * 0.5),
+        st.sampled_from([0.05, 0.1, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0]),
+    ),
+    min_size=1,
+    max_size=60,
+).map(lambda rows: Instance.from_tuples([(a, a + l, s) for a, l, s in rows]))
+
+
+def _same_packing(rule, inst):
+    fast = simulate(HybridAlgorithm(rule=rule), inst)
+    ref = simulate(ListThenRuleHA(rule=rule), inst)
+    assert fast.assignment == ref.assignment
+    assert fast.bins == ref.bins
+    assert fast.cost == ref.cost
+
+
+class TestEarlyExitScan:
+    """First/last-fit scans stop at the first fitting bin; every rule
+    must still pick what the list-then-rule form picks."""
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.__name__)
+    @given(inst=grid_instances)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_list_then_rule_on_grids(self, rule, inst):
+        _same_packing(rule, inst)
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_list_then_rule_on_random_traces(self, rule, seed):
+        _same_packing(rule, uniform_random(300, 32, seed=seed))
+        _same_packing(rule, poisson_random(20.0, 16.0, 40.0, seed=seed))

@@ -169,6 +169,41 @@ class TestProtocolFuzz:
         assert eof == b""  # closed gracefully, not reset
         assert pong["ok"] is True and pong["seq"] == "after"
 
+    def test_oversized_line_is_counted_as_bad_request(self):
+        async def main():
+            net = SimNet()
+            server = await _start_server(net)
+            reader, writer = await net.open_connection("sim", server.port)
+            writer.write(b"x" * 70_000 + b"\n")  # beyond the 64 KiB limit
+            await reader.readline()
+            r2, w2 = await net.open_connection("sim", server.port)
+            stats = await _rpc(r2, w2, {"op": "stats", "seq": "s"})
+            w2.close()
+            await server.drain()
+            return stats["totals"]
+
+        totals = sim_run(main())
+        assert totals["error_codes"] == {"bad-request": 1}
+        assert totals["errors"] == 1
+
+    def test_reset_connection_is_closed_without_an_error(self):
+        async def main():
+            net = SimNet()
+            server = await _start_server(net)
+            reader, writer = await net.open_connection("sim", server.port)
+            pong = await _rpc(reader, writer, {"op": "ping", "seq": 1})
+            net.kill_all_connections()
+            await asyncio.sleep(0.01)
+            r2, w2 = await net.open_connection("sim", server.port)
+            stats = await _rpc(r2, w2, {"op": "stats", "seq": "s"})
+            w2.close()
+            await server.drain()
+            return pong, stats["totals"]
+
+        pong, totals = sim_run(main())
+        assert pong["ok"] is True
+        assert totals["errors"] == 0 and totals["error_codes"] == {}
+
     def test_fuzz_replies_are_deterministic(self):
         async def run_once():
             net = SimNet(seed=1)

@@ -244,6 +244,44 @@ class TestOpenBinIndex:
         assert fast.assignment == slow.assignment
         assert fast.bins == slow.bins
 
+    @pytest.mark.parametrize(
+        "query", ["first_fit", "best_fit", "worst_fit", "last_fit"]
+    )
+    def test_index_built_by_first_query_mid_run(self, query):
+        class LateQuery(OnlineAlgorithm):
+            """Linear first-fit scans, then the indexed ``query``."""
+
+            name = "LateQuery"
+
+            def reset(self):
+                self.placed = 0
+
+            def place(self, item, sim):
+                self.placed += 1
+                if self.placed <= 150:
+                    found = next(
+                        (b for b in sim.open_bins if b.fits(item)), None
+                    )
+                else:
+                    found = getattr(sim, query)(item)
+                return found if found is not None else sim.open_bin()
+
+        inst = uniform_random(400, 32, seed=12)
+        lazy = simulate(LateQuery(), inst, indexed=True)
+        slow = simulate(LateQuery(), inst, indexed=False)
+        assert lazy.assignment == slow.assignment
+        assert lazy.bins == slow.bins
+
+    def test_index_upkeep_only_once_queried(self):
+        from repro.algorithms import HybridAlgorithm
+
+        inst = uniform_random(200, 16, seed=13)
+        ha, bf = Engine(HybridAlgorithm()), Engine(BestFit())
+        ha.run(inst)
+        bf.run(inst)
+        assert ha.indexed and ha._kernel._index is None
+        assert bf.indexed and bf._kernel._index is not None
+
     def test_exact_fill_one_third(self):
         """LOAD_EPS: three 1/3 items share one bin through the index."""
         k = PlacementKernel(BestFit(), record=True)

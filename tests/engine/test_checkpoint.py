@@ -134,12 +134,15 @@ def test_reject_v1_checkpoint_with_clear_message(tmp_path):
 
 def test_restored_kernel_hooks_rewired():
     # the kernel drops its listener/facade at pickle time; restore must
-    # re-attach them so accounting keeps tracking post-resume events
+    # re-attach them so metrics and accounting keep tracking post-resume
+    # events (the engine listens to its kernel only while it has metrics
+    # or observers to feed)
     items = list(uniform_random(40, 8, seed=12))
-    eng = Engine(FirstFit())
+    eng = Engine(FirstFit(), metrics=EngineMetrics())
     for it in items[:20]:
         eng.feed(it)
     resumed = restore(snapshot(eng))
+    assert restore(snapshot(Engine(FirstFit())))._kernel._listener is None
     assert resumed._kernel._listener is resumed
     assert resumed._kernel._facade is resumed
     before = resumed.accounting.arrivals
@@ -305,3 +308,69 @@ class TestV2Compat:
         s1, s2 = eng.finish(), eng2.finish()
         assert s1.cost == s2.cost == pytest.approx(expected["final_cost"])
         assert s1.bins_opened == s2.bins_opened
+
+
+class TestPreViewBlobs:
+    """Blobs from before the kernel owned the running counters.
+
+    Those engines pickled a ``RunningAccounting`` holding the counters
+    next to the kernel; restore moves them onto the kernel.  Both
+    fixtures replay ``examples/traces/uniform_1k.jsonl`` and were cut
+    after 400 items: the v2 one with FirstFit (see :class:`TestV2Compat`),
+    the v3 one with HybridAlgorithm.  A resumed run must end
+    float-for-float where the uninterrupted run ends.
+    """
+
+    DATA = TestV2Compat.DATA
+    TRACE = TestV2Compat.TRACE
+
+    def _straight(self, factory):
+        from repro.workloads.io import iter_jsonl
+
+        eng = Engine(factory())
+        for item in iter_jsonl(self.TRACE):
+            eng.feed(item)
+        return eng.finish(), eng.accounting.to_dict()
+
+    def _resumed(self, name, skip):
+        from repro.workloads.io import iter_jsonl_stores
+
+        eng = load_checkpoint(self.DATA / name)
+        for store in iter_jsonl_stores(self.TRACE, chunk_rows=128):
+            n = len(store)
+            if skip < n:
+                eng.feed_store(store, max(skip, 0))
+            skip -= n
+        return eng.finish(), eng.accounting.to_dict()
+
+    def test_v3_counters_restore_exactly(self):
+        expected = json.loads(
+            (self.DATA / "checkpoint_v3_expected.json").read_text()
+        )
+        ckpt = Checkpoint.load(self.DATA / "checkpoint_v3_hybrid.ckpt")
+        assert ckpt.version == expected["version"] == 3
+        eng = restore(ckpt)
+        assert eng.accounting.to_dict() == expected["accounting_at_cut"]
+
+    def test_v3_resume_is_bit_identical(self):
+        expected = json.loads(
+            (self.DATA / "checkpoint_v3_expected.json").read_text()
+        )
+        summary, acc = self._resumed(
+            "checkpoint_v3_hybrid.ckpt", expected["arrivals"]
+        )
+        assert summary.to_dict() == expected["summary"]
+        assert acc == expected["accounting"]
+        assert (summary, acc) == self._straight(HybridAlgorithm)
+
+    def test_v2_resume_is_bit_identical(self):
+        summary, acc = self._resumed("checkpoint_v2_firstfit.ckpt", 400)
+        assert (summary, acc) == self._straight(FirstFit)
+
+    def test_new_blob_round_trips_counters(self, tmp_path):
+        eng = load_checkpoint(self.DATA / "checkpoint_v3_hybrid.ckpt")
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(eng, path)
+        again = load_checkpoint(path)
+        assert again.accounting.to_dict() == eng.accounting.to_dict()
+        assert again.summary() == eng.summary()

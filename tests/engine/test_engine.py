@@ -1,7 +1,5 @@
 """Unit tests for the streaming engine core (loop + accounting)."""
 
-import math
-
 import pytest
 
 from repro.algorithms import FirstFit, HybridAlgorithm, NextFit
@@ -13,14 +11,16 @@ from repro.core.errors import (
 from repro.core.instance import Instance
 from repro.core.item import Item
 from repro.core.simulation import simulate
+from repro.core.kernel import KernelListener
 from repro.engine import (
     ArrivalEvent,
     DepartureEvent,
     Engine,
+    EngineMetrics,
     RunningAccounting,
     replay,
 )
-from repro.workloads import uniform_random
+from repro.workloads import poisson_random, uniform_random
 
 
 def small_instance() -> Instance:
@@ -162,29 +162,30 @@ class TestObservers:
 
 
 class TestRunningAccounting:
+    """``Engine.accounting`` reads the kernel's running counters."""
+
     def test_cost_identity(self):
-        acc = RunningAccounting()
-        acc.advance(0.0)
-        acc.on_open(0.0)
-        acc.on_open(1.0)
+        eng = Engine(FirstFit())
+        eng.feed(Item(0.0, 5.0, 0.6, uid=0))
+        eng.feed(Item(1.0, 5.0, 0.6, uid=1))  # needs a second bin
+        acc = eng.accounting
         assert acc.cost_at(4.0) == pytest.approx(4.0 + 3.0)
-        acc.on_close(0.0, 5.0)
-        acc.on_close(1.0, 5.0)
+        eng.finish()
         assert acc.cost == pytest.approx(5.0 + 4.0)
         assert acc.max_open == 2 and acc.open_count == 0
 
     def test_util_area_integration(self):
-        acc = RunningAccounting()
-        acc.advance(0.0)
-        acc.on_arrival(0.5)
-        acc.advance(2.0)  # 0.5 * 2
-        acc.on_arrival(0.3)
-        acc.advance(3.0)  # 0.8 * 1
+        eng = Engine(FirstFit())
+        eng.feed(Item(0.0, 10.0, 0.5, uid=0))
+        eng.advance_to(2.0)  # 0.5 * 2
+        eng.feed(Item(2.0, 10.0, 0.3, uid=1))
+        eng.advance_to(3.0)  # 0.8 * 1
+        acc = eng.accounting
         assert acc.util_area == pytest.approx(0.5 * 2 + 0.8)
         assert acc.peak_load == pytest.approx(0.8)
 
     def test_profile_requires_flag(self):
-        acc = RunningAccounting()
+        acc = Engine(FirstFit()).accounting
         with pytest.raises(ValueError):
             acc.open_profile()
 
@@ -199,7 +200,8 @@ class TestRunningAccounting:
         assert int(prof.max()) == batch.max_open
 
     def test_to_dict_snapshot(self):
-        acc = RunningAccounting()
+        acc = Engine(FirstFit()).accounting
+        assert isinstance(acc, RunningAccounting)
         snap = acc.to_dict()
         assert snap["time"] is None and snap["cost_so_far"] == 0.0
 
@@ -212,3 +214,89 @@ class TestRunningAccounting:
         assert eng.accounting.load == pytest.approx(0.5)
         eng.finish()
         assert eng.accounting.load == 0.0
+
+
+class EventLog(KernelListener):
+    """Every kernel event, in dispatch order."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_advance(self, t):
+        self.events.append(("advance", t))
+
+    def on_open(self, bin_):
+        self.events.append(("open", bin_.uid, bin_.opened_at))
+
+    def on_arrival(self, item, bin_, opened):
+        self.events.append(("arrival", item.uid, bin_.uid, opened))
+
+    def on_departure(self, uid, removed, bin_, t, closed, elapsed):
+        self.events.append(("departure", uid, bin_.uid, t, closed))
+
+    def on_close(self, bin_, t, usage, peak, n_items):
+        self.events.append(("close", bin_.uid, t, usage, peak, n_items))
+
+
+def _store_run(factory, inst, *, metrics=None, chunk=37):
+    log = EventLog()
+    eng = Engine(factory(), metrics=metrics, listeners=(log,))
+    store = inst.store
+    for lo in range(0, len(store), chunk):
+        eng.feed_store(store, lo, min(lo + chunk, len(store)))
+    summary = eng.finish()
+    return summary, eng.accounting.to_dict(), log.events
+
+
+class TestFeedStorePaths:
+    """``feed_store`` runs the kernel's column loop when nothing needs
+    per-arrival callbacks, and ``feed_values`` per row otherwise; the two
+    must be indistinguishable."""
+
+    WORKLOADS = [
+        (HybridAlgorithm, poisson_random(20.0, 16.0, 60.0, seed=3)),
+        (FirstFit, uniform_random(400, 16, seed=5)),
+        (NextFit, uniform_random(200, 8, seed=6)),
+    ]
+
+    @pytest.mark.parametrize("factory,inst", WORKLOADS)
+    def test_metrics_do_not_change_decisions_or_accounting(
+        self, factory, inst
+    ):
+        bare = _store_run(factory, inst)
+        metered = _store_run(factory, inst, metrics=EngineMetrics())
+        assert bare[2] == metered[2]  # every decision, in order
+        assert bare[1] == metered[1]  # float-for-float
+        assert bare[0] == metered[0]
+
+    @pytest.mark.parametrize("factory,inst", WORKLOADS)
+    def test_listeners_see_every_event_like_per_item_feed(
+        self, factory, inst
+    ):
+        log = EventLog()
+        eng = Engine(factory())
+        eng.attach_listener(log)
+        for it in inst:
+            eng.feed(it)
+        eng.finish()
+        assert _store_run(factory, inst)[2] == log.events
+
+    def test_column_loop_only_without_callbacks(self):
+        eng = Engine(FirstFit())
+        assert eng._kernel.listeners == []
+        eng.subscribe(lambda event: None)
+        assert eng._kernel.listeners == [eng]
+
+    def test_metrics_assigned_late_are_fed(self):
+        inst = uniform_random(150, 8, seed=7)
+        early = EngineMetrics()
+        Engine(FirstFit(), metrics=early).run(inst)
+        eng = Engine(FirstFit(), listeners=(EventLog(),))
+        eng.metrics = late = EngineMetrics()
+        assert eng._kernel.listeners[0] is eng
+        eng.run(inst)
+        a, b = early.snapshot(), late.snapshot()
+        assert a["counters"] == b["counters"]
+        assert a["histograms"] == b["histograms"]
+        eng.metrics = None
+        assert eng not in eng._kernel.listeners

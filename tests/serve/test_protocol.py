@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -183,6 +185,27 @@ class TestReplies:
         line = encode(reply)
         assert line.endswith(b"\n")
         assert decode(line) == reply
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            ok_reply("arrive", seq=3, id="a-1", uid=7, bin=2, opened=True,
+                     shard=0, latency_us=12.345),
+            ok_reply("stats", seq="s-1", totals={"cost": 1.5, "errors": 0,
+                                                 "error_codes": {}}),
+            error_reply("out-of-order", "arrival 1.0 < clock 5.0", seq=9,
+                        id="x", shard=1, clock=5.0),
+            error_reply("bad-json", "not JSON: ünïcode \u2028"),
+            # only ``default=float`` can encode these
+            ok_reply("advance", time=Fraction(1, 3), cost=Decimal("2.5")),
+        ],
+        ids=["ok-arrive", "ok-stats", "err-order", "err-unicode", "default"],
+    )
+    def test_encode_bytes_match_plain_json_dumps(self, obj):
+        expected = (
+            json.dumps(obj, separators=(",", ":"), default=float) + "\n"
+        ).encode("utf-8")
+        assert encode(obj) == expected
 
     def test_decode_rejects_non_object(self):
         with pytest.raises(ValueError):

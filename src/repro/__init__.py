@@ -49,7 +49,6 @@ from .analysis import (
 from .core import (
     Bin,
     BinRecord,
-    IncrementalSimulation,
     Instance,
     Item,
     LoadProfile,
@@ -115,7 +114,6 @@ __all__ = [
     "load_profile",
     "PackingResult",
     "PlacementKernel",
-    "IncrementalSimulation",
     "simulate",
     "audit",
     "ReproError",

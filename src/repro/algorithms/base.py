@@ -40,16 +40,14 @@ __all__ = [
 
 @runtime_checkable
 class SimulationView(Protocol):
-    """The facade every frontend hands to ``place()`` and the notify hooks.
+    """The ``sim`` handed to ``place()`` and the notify hooks.
 
     This is the formal contract between algorithms/adversaries and the
-    simulation they run inside.  Three objects satisfy it — the
-    :class:`~repro.core.kernel.PlacementKernel` itself (adversaries drive
-    it directly), the batch
-    :class:`~repro.core.simulation.IncrementalSimulation`, and the
-    streaming :class:`~repro.engine.loop.Engine` — and because the latter
-    two are thin adapters over the former, every method has exactly one
-    implementation of its semantics.
+    simulation they run inside.  Its one implementer is the
+    :class:`~repro.core.kernel.PlacementKernel`: ``simulate()``, the
+    adversaries and the streaming :class:`~repro.engine.loop.Engine`
+    all hand the algorithm the kernel itself, so every method has
+    exactly one implementation of its semantics.
 
     The candidate queries (:meth:`first_fit` … :meth:`fitting_bins`)
     mirror the classical Any-Fit rules and run in O(log n) via the
@@ -167,8 +165,8 @@ class OnlineAlgorithm(ABC):
     def place(self, item: Item, sim: "SimulationView") -> Bin:
         """Choose the bin for ``item``.
 
-        ``sim`` satisfies the :class:`SimulationView` protocol (the
-        placement kernel or one of its frontends); use ``sim.open_bins``
+        ``sim`` satisfies the :class:`SimulationView` protocol (it is
+        the placement kernel itself); use ``sim.open_bins``
         (or the indexed ``sim.first_fit``/``best_fit``/… queries) to
         inspect open bins and ``sim.open_bin(tag)`` to open a new one.
         Must return the chosen bin.

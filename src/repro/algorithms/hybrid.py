@@ -164,15 +164,12 @@ class HybridAlgorithm(OnlineAlgorithm):
                 self._type_load.pop(T, None)
 
     def notify_close(self, bin_: Bin, sim) -> None:
+        # Bin has no __eq__, so remove() matches by identity, in place
         tag = bin_.tag
         if tag and tag[0] == GN_TAG:
-            self._gn_bins = [b for b in self._gn_bins if b.uid != bin_.uid]
+            self._gn_bins.remove(bin_)
         elif tag and tag[0] == CD_TAG:
-            T = tag[1]
-            bins = self._cd_bins.get(T)
-            if bins is not None:
-                remaining = [b for b in bins if b.uid != bin_.uid]
-                if remaining:
-                    self._cd_bins[T] = remaining
-                else:
-                    del self._cd_bins[T]
+            bins = self._cd_bins[tag[1]]
+            bins.remove(bin_)
+            if not bins:
+                del self._cd_bins[tag[1]]

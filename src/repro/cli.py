@@ -747,7 +747,8 @@ def _replay(args) -> int:
         skip = engine.accounting.arrivals
         print(
             f"resumed from {args.resume}: {skip} items already fed, "
-            f"t={engine.time:g}, cost so far {engine.cost_so_far:g}"
+            f"t={engine.kernel.time:g}, "
+            f"cost so far {engine.kernel.cost_so_far:g}"
         )
     else:
         engine = Engine(
@@ -874,7 +875,7 @@ def _replay(args) -> int:
         from .core.instance import Instance
         from .core.simulation import simulate
 
-        streamed = engine.result()
+        streamed = engine.kernel.result()
         batch = simulate(
             registry[args.algorithm](),
             Instance(list(streamed.items), reassign_uids=False),

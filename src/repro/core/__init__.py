@@ -3,8 +3,8 @@
 Everything above this package (algorithms, adversaries, offline oracles,
 experiments, the streaming engine) is built on these primitives.  The
 single source of simulation semantics is
-:class:`~repro.core.kernel.PlacementKernel`; ``simulate`` and
-``IncrementalSimulation`` here (and :class:`repro.engine.Engine`) are
+:class:`~repro.core.kernel.PlacementKernel`, and it is the ``sim`` every
+algorithm sees; ``simulate`` here (and :class:`repro.engine.Engine`) are
 thin frontends over it.
 """
 
@@ -31,7 +31,7 @@ from .kernel import KernelListener, OpenBinIndex, PlacementKernel
 from .objectives import max_bins, momentary_ratio, optimal_bins_profile, usage_time
 from .profile import LoadProfile, load_profile
 from .result import PackingResult
-from .simulation import IncrementalSimulation, simulate
+from .simulation import simulate
 from .store import ItemStore, validate_item_values
 from .validate import audit, audit_cost, check_feasible_bin
 
@@ -60,7 +60,6 @@ __all__ = [
     "PlacementKernel",
     "OpenBinIndex",
     "KernelListener",
-    "IncrementalSimulation",
     "simulate",
     "audit",
     "audit_cost",

@@ -1,11 +1,12 @@
 """The placement kernel: single owner of all packing-simulation state.
 
 Every frontend that drives an online algorithm — the batch
-:func:`~repro.core.simulation.simulate`, the incremental
-:class:`~repro.core.simulation.IncrementalSimulation` used by the
-Section-4 adaptive adversaries, and the streaming
-:class:`~repro.engine.loop.Engine` — is a thin adapter over one
-:class:`PlacementKernel`.  The kernel owns, in one place:
+:func:`~repro.core.simulation.simulate`, the Section-4 adaptive
+adversaries (which drive a kernel directly, release by release) and the
+streaming :class:`~repro.engine.loop.Engine` — runs on one
+:class:`PlacementKernel`, and the kernel is the ``sim`` every algorithm
+sees (the :class:`~repro.algorithms.base.SimulationView` protocol).
+The kernel owns, in one place:
 
 - the **open-bin table** (insertion order = opening order = first-fit
   order) and the **pending-bin open/commit protocol** that validates
@@ -36,7 +37,7 @@ Indexed placement
 -----------------
 The kernel keeps an :class:`OpenBinIndex` over the open bins — a
 residual-capacity-sorted list plus a max-residual segment tree in
-opening order — so the Any-Fit candidate queries exposed on the facade
+opening order — so the Any-Fit candidate queries algorithms ask
 (:meth:`first_fit`, :meth:`best_fit`, :meth:`worst_fit`,
 :meth:`last_fit`) run in O(log n) instead of scanning every open bin.
 The first such query builds the index; algorithms that never ask (HA,
@@ -44,18 +45,11 @@ NextFit and CDFF keep their own bin lists) never pay for its upkeep.
 Construct with ``indexed=False`` to fall back to the plain linear scans
 (same results; used as the benchmark baseline and as a safety valve).
 
-Frontends integrate through two hooks passed at construction:
-
-``facade``
-    The object handed to ``algorithm.place(view, facade)`` and the
-    notify hooks; defaults to the kernel itself.  Adapters pass
-    themselves so algorithms keep seeing the familiar ``sim`` surface
-    (the :class:`~repro.algorithms.base.SimulationView` protocol).
-``listener``
-    Receives ``on_advance`` / ``on_open`` / ``on_arrival`` /
-    ``on_departure`` / ``on_close`` callbacks in exact event order; the
-    streaming engine uses this to drive its metrics and observer events
-    without re-implementing any semantics.
+Frontends integrate through one hook, the ``listener`` passed at
+construction (or attached later): it receives ``on_advance`` /
+``on_open`` / ``on_arrival`` / ``on_departure`` / ``on_close`` callbacks
+in exact event order; the streaming engine uses this to drive its
+metrics and observer events without re-implementing any semantics.
 """
 
 from __future__ import annotations
@@ -333,9 +327,6 @@ class PlacementKernel:
         linear scans (identical results).
     listener:
         Optional :class:`KernelListener` receiving every event.
-    facade:
-        The ``sim`` object algorithms and notify hooks see; defaults to
-        the kernel itself (adversaries drive the kernel directly).
     """
 
     def __init__(
@@ -347,7 +338,6 @@ class PlacementKernel:
         record_events: bool = False,
         indexed: bool = True,
         listener: Optional[KernelListener] = None,
-        facade=None,
     ) -> None:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
@@ -384,7 +374,6 @@ class PlacementKernel:
             listener if isinstance(listener, (list, tuple)) else [listener]
         )
         self._bind_listener(self._listener)
-        self._facade = facade if facade is not None else self
         # record-mode history (stays empty unless record=True)
         self._items: List[Item] = []
         self._records: List[BinRecord] = []
@@ -398,7 +387,7 @@ class PlacementKernel:
         self._close_hook = getattr(algorithm, "notify_close", None)
 
     # ------------------------------------------------------------------ #
-    # The facade surface (SimulationView protocol)
+    # The surface algorithms see (SimulationView protocol)
     # ------------------------------------------------------------------ #
     @property
     def open_bins(self) -> tuple[Bin, ...]:
@@ -641,7 +630,6 @@ class PlacementKernel:
         hi = w1 if stop is None else w0 + stop
         masked = self._masked
         place = self.algorithm.place
-        facade = self._facade
         advance = self._advance
         commit = self._commit
         dq = self._departures
@@ -674,7 +662,7 @@ class PlacementKernel:
                 )
             item = item_view(arrival, departure, size, uid)
             view = item_view(arrival, None, size, uid) if masked else item
-            chosen = place(view, facade)
+            chosen = place(view, self)
             opened = self._pending_bin is not None
             bin_ = commit(item, view, chosen, opened)
             if departure is not None:
@@ -693,7 +681,7 @@ class PlacementKernel:
 
     def _finish_release(self, item: Item, view: Item) -> Bin:
         """The shared tail of every release: place, commit, schedule."""
-        chosen = self.algorithm.place(view, self._facade)
+        chosen = self.algorithm.place(view, self)
         opened = self._pending_bin is not None
         bin_ = self._commit(item, view, chosen, opened)
         if item.departure is not None:
@@ -825,7 +813,7 @@ class PlacementKernel:
             self._departed_at[uid] = t
         hook = self._dep_hook
         if hook is not None:
-            hook(removed, bin_, self._facade)
+            hook(removed, bin_, self)
         closed = bin_.n_items == 0
         if closed:
             self._close(bin_, t)
@@ -870,7 +858,7 @@ class PlacementKernel:
             self._listener.on_close(bin_, t, usage, peak, n_items)
         hook = self._close_hook
         if hook is not None:
-            hook(bin_, self._facade)
+            hook(bin_, self)
 
     def _commit(self, item: Item, view: Item, chosen, opened: bool) -> Bin:
         """Validate the algorithm's choice and commit the placement.
@@ -931,7 +919,6 @@ class PlacementKernel:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_listener"] = None
-        state["_facade"] = None
         # bound-method caches are recomputed on restore, not serialized
         state.pop("_dep_hook", None)
         state.pop("_close_hook", None)
@@ -942,8 +929,9 @@ class PlacementKernel:
         self.__dict__.update(state)
         # blobs from before the index was built lazily lack the flag
         self.__dict__.setdefault("_indexed", self._index is not None)
-        if self._facade is None:
-            self._facade = self
+        # blobs from before algorithms saw the kernel itself carry a
+        # (always ``None``) slot for the wrapper they handed algorithms
+        self.__dict__.pop("_facade", None)
         # also covers pre-columnar (v2-era) blobs, which lack the caches
         self._masked = self.masks_departures
         self._dep_hook = getattr(self.algorithm, "notify_departure", None)

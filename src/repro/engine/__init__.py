@@ -32,7 +32,7 @@ from .checkpoint import (
     save_checkpoint,
     snapshot,
 )
-from .events import ArrivalEvent, CheckpointEvent, DepartureEvent, Event, EventKind
+from .events import ArrivalEvent, DepartureEvent, Event, EventKind
 from .loop import Engine, EngineSummary, replay
 from .metrics import (
     CallbackSink,
@@ -71,7 +71,6 @@ __all__ = [
     "EventKind",
     "ArrivalEvent",
     "DepartureEvent",
-    "CheckpointEvent",
     "Checkpoint",
     "CheckpointError",
     "snapshot",

@@ -69,12 +69,9 @@ CHECKPOINT_VERSION = 3
 #: versions :meth:`Checkpoint.loads` accepts (v2 blobs carry no columns)
 COMPAT_VERSIONS = (2, 3)
 
-#: engine attributes captured in a snapshot, in a stable order
-_STATE_ATTRS = (
-    "_kernel",  # owns algorithm, bins, heap, counters, record history
-    "record",
-    "metrics",
-)
+#: keys of the pickled engine state, in a stable order; ``_kernel``
+#: holds ``Engine.kernel`` (algorithm, bins, heap, counters, history)
+_STATE_ATTRS = ("_kernel", "record", "metrics")
 
 #: counters older blobs kept on a pickled RunningAccounting; restore()
 #: moves them onto the kernel (and ``profile_deltas`` to its event log)
@@ -211,17 +208,19 @@ def snapshot(engine: Engine) -> Checkpoint:
     The pending-bin protocol guarantees snapshots only make sense between
     events; taking one during a ``place()`` call is a caller error.
     """
-    if engine._kernel._pending_bin is not None:
+    kernel = engine.kernel
+    if kernel._pending_bin is not None:
         raise SimulationError("cannot snapshot mid-placement")
-    state = {name: getattr(engine, name) for name in _STATE_ATTRS}
+    state = {"_kernel": kernel, "record": engine.record,
+             "metrics": engine.metrics}
     buf = io.BytesIO()
     pickler = _ColumnPickler(buf, pickle.HIGHEST_PROTOCOL)
     pickler.dump(state)
     return Checkpoint(
         version=CHECKPOINT_VERSION,
-        arrivals=engine.accounting.arrivals,
-        time=engine.time,
-        cost_so_far=engine.accounting.cost_at(engine.time),
+        arrivals=kernel.arrivals,
+        time=kernel.time,
+        cost_so_far=kernel.cost_so_far,
         blob=buf.getvalue(),
         columns=pickler.columns(),
     )
@@ -233,9 +232,8 @@ def restore(checkpoint: Checkpoint) -> Engine:
     The result is fully independent of the engine that produced the
     snapshot (the blob round-trip deep-copies everything), with no
     observers, no tracer, no extra listeners, and whatever metrics were
-    captured.  The kernel's facade hook (dropped at pickle time) is
-    re-wired to the new engine, which re-registers as the kernel's
-    listener when it has metrics; re-attach observability via
+    captured.  The new engine re-registers as the kernel's listener when
+    it has metrics; re-attach observability via
     :meth:`~repro.engine.loop.Engine.attach_tracer` /
     :meth:`~repro.engine.loop.Engine.attach_listener`.
     """
@@ -270,14 +268,13 @@ def restore(checkpoint: Checkpoint) -> Engine:
             setattr(kernel, name, counters[name])
         kernel.open_count_events = counters["profile_deltas"]
     engine = object.__new__(Engine)
-    engine._kernel = kernel
+    engine.kernel = kernel
     engine.record = state["record"]
     engine._observers = []
     engine._last_opened = False
     engine.tracer = None
     engine.invariants = None  # monitors, like observers, are re-attached
     engine.accounting = RunningAccounting(kernel)
-    kernel._facade = engine
     engine.metrics = state["metrics"]
     return engine
 

@@ -25,7 +25,6 @@ __all__ = [
     "Event",
     "ArrivalEvent",
     "DepartureEvent",
-    "CheckpointEvent",
 ]
 
 
@@ -34,7 +33,6 @@ class EventKind(IntEnum):
 
     DEPARTURE = 0  #: processed first at equal times (half-open intervals)
     ARRIVAL = 1
-    CHECKPOINT = 2  #: synthetic, emitted between items — never ties for order
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,11 +72,3 @@ class DepartureEvent(Event):
     closed: bool = False
     kind: EventKind = EventKind.DEPARTURE
 
-
-@dataclass(frozen=True, slots=True)
-class CheckpointEvent(Event):
-    """A snapshot was written (CLI ``--checkpoint-every``)."""
-
-    path: str = ""
-    arrivals: int = 0
-    kind: EventKind = EventKind.CHECKPOINT

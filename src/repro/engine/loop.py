@@ -5,10 +5,12 @@
 and drives an **unmodified** :class:`~repro.algorithms.base.
 OnlineAlgorithm` over the combined event sequence.  It is a thin adapter
 over the shared :class:`~repro.core.kernel.PlacementKernel` — the same
-kernel the batch ``simulate()`` runs on — so event semantics (departures
-before arrivals at equal times, release-order tie-breaks, bins close the
-moment they empty, clairvoyance enforced by masking) are *identical by
-construction*, not by mirroring.  What the engine layers on top:
+kernel the batch ``simulate()`` runs on, exposed as
+:attr:`Engine.kernel` and handed to the algorithm as its ``sim`` — so
+event semantics (departures before arrivals at equal times, release-order
+tie-breaks, bins close the moment they empty, clairvoyance enforced by
+masking) are *identical by construction*, not by mirroring.  What the
+engine layers on top:
 
 - **Incremental accounting.**  The kernel keeps every running counter in
   O(1) per event (O(log n) including the heap); ``Engine.accounting``
@@ -18,7 +20,7 @@ construction*, not by mirroring.  What the engine layers on top:
 - **Constant memory.**  By default nothing proportional to the trace is
   retained: resident state is the open bins and the pending-departure
   heap.  Pass ``record=True`` to additionally keep items, records and the
-  assignment so :meth:`result` can produce a full
+  assignment so ``engine.kernel.result()`` can produce a full
   :class:`~repro.core.result.PackingResult` (the parity harness uses
   this; it restores the batch path's memory profile).
 - **Observability.**  Optional per-event metrics
@@ -40,11 +42,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, List, Optional
 
-from ..core.bins import Bin, BinRecord
+from ..core.bins import Bin
 from ..core.instance import Instance
 from ..core.item import Item, item_view
 from ..core.kernel import KernelListener, PlacementKernel
-from ..core.result import PackingResult
 from ..core.store import ItemStore
 from ..obs.trace import Tracer, TracingListener
 from .accounting import RunningAccounting
@@ -102,7 +103,7 @@ class Engine(KernelListener):
         event.  May be assigned later (``engine.metrics = m``).
     record:
         Keep full history (items, bin records, assignment) so
-        :meth:`result` works.  Off by default — on, memory grows with
+        ``kernel.result()`` works.  Off by default — on, memory grows with
         the trace exactly like the batch path.
     record_profile:
         Keep open-count deltas so ``accounting.open_profile()`` can
@@ -157,92 +158,18 @@ class Engine(KernelListener):
             if getattr(invariants, "tracer", None) is None:
                 invariants.tracer = tracer
             extra.append(invariants)
-        self._kernel = PlacementKernel(
+        #: the kernel this engine drives and its algorithm's ``sim``:
+        #: the clock, open bins, cost and record-mode ``result()``
+        self.kernel = PlacementKernel(
             algorithm,
             capacity=capacity,
             record=record,
             record_events=record_profile,
             indexed=indexed,
             listener=extra,
-            facade=self,
         )
-        self.accounting = RunningAccounting(self._kernel)
+        self.accounting = RunningAccounting(self.kernel)
         self.metrics = metrics
-
-    # ------------------------------------------------------------------ #
-    # The `sim` facade algorithms see (SimulationView protocol)
-    # ------------------------------------------------------------------ #
-    @property
-    def algorithm(self):
-        return self._kernel.algorithm
-
-    @property
-    def capacity(self) -> float:
-        return self._kernel.capacity
-
-    @property
-    def time(self) -> float:
-        return self._kernel.time
-
-    @property
-    def open_bins(self) -> tuple[Bin, ...]:
-        """Currently open bins, oldest first (first-fit order)."""
-        return self._kernel.open_bins
-
-    @property
-    def open_bin_count(self) -> int:
-        return self._kernel.open_bin_count
-
-    @property
-    def cost_so_far(self) -> float:
-        """Closed usage plus open bins' usage up to the current clock."""
-        return self._kernel.cost_so_far
-
-    @property
-    def indexed(self) -> bool:
-        """Whether the kernel maintains its O(log n) open-bin index."""
-        return self._kernel.indexed
-
-    def set_indexed(self, flag: bool) -> None:
-        """Switch the kernel's open-bin index on or off (see the kernel)."""
-        self._kernel.set_indexed(flag)
-
-    def is_open(self, uid: int) -> bool:
-        """Whether bin ``uid`` is currently open (O(1))."""
-        return self._kernel.is_open(uid)
-
-    def open_bin(self, tag=None) -> Bin:
-        """Called by the algorithm inside ``place()`` to open a fresh bin."""
-        return self._kernel.open_bin(tag)
-
-    # indexed candidate queries (delegated to the kernel's bin index)
-    def first_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.first_fit(item)
-
-    def best_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.best_fit(item)
-
-    def worst_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.worst_fit(item)
-
-    def last_fit(self, item: Item) -> Optional[Bin]:
-        return self._kernel.last_fit(item)
-
-    def fitting_bins(self, item: Item) -> list[Bin]:
-        return self._kernel.fitting_bins(item)
-
-    # record-mode history lives in the kernel; exposed for tests/tools
-    @property
-    def _items(self) -> List[Item]:
-        return self._kernel._items
-
-    @property
-    def _records(self) -> List[BinRecord]:
-        return self._kernel._records
-
-    @property
-    def _assignment(self) -> dict[int, int]:
-        return self._kernel._assignment
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -266,7 +193,7 @@ class Engine(KernelListener):
         Listeners (like observers) are not checkpointed; call this again
         after a restore.
         """
-        self._kernel.add_listener(listener)
+        self.kernel.add_listener(listener)
 
     def attach_tracer(self, tracer: Tracer) -> None:
         """Attach an (enabled) tracer to an already-built engine.
@@ -293,9 +220,9 @@ class Engine(KernelListener):
 
     def _sync_listener(self) -> None:
         """Be the kernel's first listener iff metrics or observers need it."""
-        others = [lst for lst in self._kernel.listeners if lst is not self]
+        others = [lst for lst in self.kernel.listeners if lst is not self]
         wanted = self._metrics is not None or bool(self._observers)
-        self._kernel.set_listeners([self, *others] if wanted else others)
+        self.kernel.set_listeners([self, *others] if wanted else others)
 
     @property
     def timed(self) -> bool:
@@ -317,7 +244,7 @@ class Engine(KernelListener):
             self._emit(
                 DepartureEvent(
                     time=t,
-                    seq=self._kernel.departures,
+                    seq=self.kernel.departures,
                     uid=uid,
                     bin_uid=bin_.uid,
                     size=removed.size,
@@ -332,7 +259,7 @@ class Engine(KernelListener):
             self._metrics.on_bin_close(
                 n_items=n_items,
                 peak_load=peak,
-                capacity=self.capacity,
+                capacity=self.kernel.capacity,
                 usage=usage,
             )
 
@@ -346,8 +273,8 @@ class Engine(KernelListener):
         first — the kernel's semantics, shared with the batch simulator.
         """
         t0 = _time.perf_counter() if self._metrics is not None else 0.0
-        opened = self._kernel.bins_opened
-        bin_ = self._kernel.release(item)
+        opened = self.kernel.bins_opened
+        bin_ = self.kernel.release(item)
         return self._placed(bin_, opened, t0, item)
 
     def feed_values(
@@ -365,14 +292,14 @@ class Engine(KernelListener):
         :class:`Item` objects.
         """
         t0 = _time.perf_counter() if self._metrics is not None else 0.0
-        opened = self._kernel.bins_opened
-        bin_ = self._kernel.release_values(arrival, departure, size, uid)
+        opened = self.kernel.bins_opened
+        bin_ = self.kernel.release_values(arrival, departure, size, uid)
         item = item_view(arrival, departure, size, uid) if self._observers else None
         return self._placed(bin_, opened, t0, item)
 
     def _placed(self, bin_: Bin, opened_before: int, t0: float, item) -> Bin:
         """The per-arrival metrics and observer work of the feed paths."""
-        kernel = self._kernel
+        kernel = self.kernel
         self._last_opened = opened = kernel.bins_opened != opened_before
         metrics = self._metrics
         if metrics is not None:
@@ -410,7 +337,7 @@ class Engine(KernelListener):
         arrival, the whole window goes to the kernel's column loop.
         """
         if self._metrics is None and not self._observers:
-            return self._kernel.release_store(store, start, stop)
+            return self.kernel.release_store(store, start, stop)
         arr, dep, siz, uids, w0, w1 = store.columns()
         lo = w0 + start
         hi = w1 if stop is None else w0 + stop
@@ -418,14 +345,6 @@ class Engine(KernelListener):
         for arrival, d, size, uid in islice(zip(arr, dep, siz, uids), lo, hi):
             feed(arrival, d if d == d else None, size, uid)
         return hi - lo
-
-    def depart(self, uid: int, time: float) -> None:
-        """Force an adaptive item (unknown departure) out at ``time``."""
-        self._kernel.depart(uid, time)
-
-    def advance_to(self, time: float) -> None:
-        """Move the clock to ``time``, processing due departures."""
-        self._kernel.advance_to(time)
 
     def run(self, source: ItemSource) -> EngineSummary:
         """Drain an entire source, then :meth:`finish`.
@@ -458,7 +377,7 @@ class Engine(KernelListener):
         Also finalizes an attached invariant monitor, so the end-of-run
         theory checks run exactly once per completed stream.
         """
-        self._kernel.drain()
+        self.kernel.drain()
         if self.invariants is not None:
             self.invariants.finalize()
         return self.summary()
@@ -467,7 +386,7 @@ class Engine(KernelListener):
     # Results
     # ------------------------------------------------------------------ #
     def summary(self) -> EngineSummary:
-        kernel = self._kernel
+        kernel = self.kernel
         return EngineSummary(
             algorithm=getattr(
                 kernel.algorithm, "name", type(kernel.algorithm).__name__
@@ -483,12 +402,8 @@ class Engine(KernelListener):
             final_time=kernel.time if math.isfinite(kernel.time) else None,
         )
 
-    def result(self) -> PackingResult:
-        """The full :class:`PackingResult` (requires ``record=True``)."""
-        return self._kernel.result()
-
     def __repr__(self) -> str:
-        kernel = self._kernel
+        kernel = self.kernel
         name = getattr(
             kernel.algorithm, "name", type(kernel.algorithm).__name__
         )

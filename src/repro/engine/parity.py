@@ -91,7 +91,7 @@ def check_parity(
     batch = simulate(algorithm_factory(), instance, capacity=capacity)
     engine = Engine(algorithm_factory(), capacity=capacity, record=True)
     summary = engine.run(iter(instance))
-    streamed = engine.result()
+    streamed = engine.kernel.result()
     return ParityReport(
         algorithm=batch.algorithm,
         workload=workload,

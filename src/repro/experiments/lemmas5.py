@@ -26,8 +26,8 @@ from ..algorithms.cdff import CDFF, aligned_class
 from ..algorithms.hybrid import HybridAlgorithm
 from ..analysis.binary_strings import binary
 from ..core.instance import Instance
+from ..core.kernel import PlacementKernel
 from ..core.objectives import optimal_bins_profile
-from ..core.simulation import IncrementalSimulation
 from ..reductions.alignment import align_departures
 from ..workloads.aligned import aligned_random, binary_input
 from ..workloads.random_general import uniform_random
@@ -53,7 +53,7 @@ def lemma35_experiment(
             reduced = align_departures(inst)
             opt_profile = optimal_bins_profile(reduced, max_exact=18)
             alg = HybridAlgorithm()
-            sim = IncrementalSimulation(alg)
+            sim = PlacementKernel(alg, record=True)
             sqrt_log = math.sqrt(max(1.0, math.log2(mu)))
             max_k = 0
             min_slack = math.inf
@@ -114,7 +114,7 @@ def lemma55_experiment(mus: Sequence[int] = (4, 16, 64, 256)) -> ExperimentResul
         n = int(math.log2(mu))
         inst = binary_input(mu)
         alg = CDFF()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         items = list(inst)
         checks = mismatches = 0
         pos = 0
@@ -173,7 +173,7 @@ def lemma512_experiment(
                 T = item_type(it, min_class=0)
                 deadline[it.uid] = type_departure_deadline(T)
             alg = CDFF()
-            sim = IncrementalSimulation(alg)
+            sim = PlacementKernel(alg, record=True)
             max_bins = 0
             min_slack = math.inf
             violations = 0

@@ -187,10 +187,10 @@ class InvariantMonitor(KernelListener):
     def bind(self, source) -> None:
         """Attach the run whose O(1) ``cost_so_far`` is cross-checked.
 
-        ``source`` is anything exposing ``cost_so_far`` (a
-        :class:`~repro.core.kernel.PlacementKernel` or an engine facade);
-        the kernel calls this automatically when the monitor is attached
-        as a listener.
+        ``source`` is the :class:`~repro.core.kernel.PlacementKernel`
+        (anything exposing ``cost_so_far`` and ``open_bins``); the
+        kernel calls this automatically when the monitor is attached as
+        a listener.
 
         If the source already carries state — a mid-stream attach, e.g.
         after a checkpoint resume — the monitor adopts the currently

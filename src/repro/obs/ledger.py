@@ -479,7 +479,8 @@ class RegressReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        # a baseline none of whose records matched gated nothing
+        return not self.failures and bool(self.compared or not self.missing)
 
     def render(self) -> str:
         lines: List[str] = []
@@ -504,10 +505,14 @@ class RegressReport:
             )
         if not lines:
             lines.append("nothing to compare (empty ledger and baseline)")
-        lines.append(
-            "regress: PASS" if self.ok else
-            f"regress: FAIL ({len(self.failures)} metric(s) drifted)"
-        )
+        if self.failures:
+            lines.append(
+                f"regress: FAIL ({len(self.failures)} metric(s) drifted)"
+            )
+        elif not self.ok:
+            lines.append("regress: FAIL (no baseline record matched)")
+        else:
+            lines.append("regress: PASS")
         return "\n".join(lines)
 
 
@@ -521,7 +526,8 @@ def regress(
     Records pair up on ``(kind, algorithm, generator, config_hash)``.
     Matched pairs are compared with :func:`diff_records`; unmatched
     records on either side are reported but do not gate (adding a new
-    benchmark must not break CI; removing one is visible in review).
+    benchmark must not break CI; removing one is visible in review) —
+    but a baseline none of whose records matched fails: it gated nothing.
     """
     by_key: Dict[Tuple, List[RunRecord]] = {}
     for rec in baseline:

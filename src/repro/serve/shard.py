@@ -470,7 +470,7 @@ class PlacementShard:
                 seq=req.seq, id=req.id, shard=self.shard_id,
             )
         try:
-            self.engine.depart(uid, req.time)
+            self.engine.kernel.depart(uid, req.time)
         except (SimulationError, PackingError) as exc:
             self.rejected += 1
             return error_reply(
@@ -484,7 +484,7 @@ class PlacementShard:
 
     def _advance(self, req: Request) -> dict:
         try:
-            self.engine.advance_to(req.time)
+            self.engine.kernel.advance_to(req.time)
         except SimulationError as exc:
             self.rejected += 1
             return error_reply(
@@ -497,23 +497,23 @@ class PlacementShard:
     def _clock(self) -> Optional[float]:
         import math
 
-        t = self.engine.time
+        t = self.engine.kernel.time
         return t if math.isfinite(t) else None
 
     # ------------------------------------------------------------------ #
     # Introspection (safe between event-loop steps: one thread, no locks)
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        acc = self.engine.accounting
+        kernel = self.engine.kernel
         return {
             "shard": self.shard_id,
-            "indexed": self.engine.indexed,
-            "items": acc.arrivals,
-            "departures": acc.departures,
-            "open_bins": self.engine.open_bin_count,
-            "bins_opened": acc.bins_opened,
-            "max_open": acc.max_open,
-            "cost": acc.cost_at(self.engine.time),
+            "indexed": kernel.indexed,
+            "items": kernel.arrivals,
+            "departures": kernel.departures,
+            "open_bins": kernel.open_bin_count,
+            "bins_opened": kernel.bins_opened,
+            "max_open": kernel.max_open,
+            "cost": kernel.cost_so_far,
             "time": self._clock(),
             "accepted": self.accepted,
             "rejected": self.rejected,
@@ -574,7 +574,7 @@ class PlacementShard:
         path = pathlib.Path(path)
         engine = load_checkpoint(path)
         if indexed is not None:
-            engine.set_indexed(indexed)
+            engine.kernel.set_indexed(indexed)
         shard = cls(
             shard_id,
             None,
@@ -604,6 +604,6 @@ class PlacementShard:
         return (
             f"PlacementShard(id={self.shard_id}, items="
             f"{self.engine.accounting.arrivals}, "
-            f"open={self.engine.open_bin_count}, "
+            f"open={self.engine.kernel.open_bin_count}, "
             f"queue={self.queue.qsize()})"
         )

@@ -11,7 +11,7 @@ from typing import Optional
 
 from ..algorithms.cdff import CDFF
 from ..core.instance import Instance
-from ..core.simulation import IncrementalSimulation
+from ..core.kernel import PlacementKernel
 from ..workloads.aligned import aligned_random, binary_input
 from .ascii import render_instance, render_packing, render_rows
 
@@ -36,7 +36,7 @@ def figure1(
         mu, n_items, seed=seed
     )
     algorithm = CDFF()
-    sim = IncrementalSimulation(algorithm)
+    sim = PlacementKernel(algorithm, record=True)
     if stop_at is None:
         # dry run to find the busiest arrival time
         from ..core.simulation import simulate

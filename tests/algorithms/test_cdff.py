@@ -13,7 +13,8 @@ from repro.algorithms.cdff import (
 from repro.core.errors import AlignmentError
 from repro.core.instance import Instance
 from repro.core.item import Item
-from repro.core.simulation import IncrementalSimulation, simulate
+from repro.core.kernel import PlacementKernel
+from repro.core.simulation import simulate
 from repro.core.validate import audit
 from repro.workloads.aligned import aligned_random, binary_input
 
@@ -62,7 +63,7 @@ class TestRowPlacement:
     def test_t0_batch_rows(self):
         """At t=0 of σ_8, length 2^i goes to row log μ − i (Lemma 5.5)."""
         alg = CDFF()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         for uid, length in enumerate([1.0, 2.0, 4.0, 8.0]):
             sim.release(Item(0.0, length, 0.2, uid=uid))
         # rows bind relative to the largest class (3)
@@ -73,7 +74,7 @@ class TestRowPlacement:
         """The longest item may arrive last; rows must come out the same."""
         for order in ([1.0, 2.0, 4.0, 8.0], [8.0, 4.0, 2.0, 1.0], [2.0, 8.0, 1.0, 4.0]):
             alg = CDFF()
-            sim = IncrementalSimulation(alg)
+            sim = PlacementKernel(alg, record=True)
             uid_of = {}
             for uid, length in enumerate(order):
                 sim.release(Item(0.0, length, 0.2, uid=uid))
@@ -85,7 +86,7 @@ class TestRowPlacement:
         """σ_8 at t=1: m_t = 0, so the length-1 item goes to row 0 and joins
         the bin holding the length-8 item (the Lemma 5.5 example)."""
         alg = CDFF()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         for uid, length in enumerate([1.0, 2.0, 4.0, 8.0]):
             sim.release(Item(0.0, length, 0.2, uid=uid))
         b = sim.release(Item(1.0, 2.0, 0.2, uid=4))
@@ -95,7 +96,7 @@ class TestRowPlacement:
 
     def test_row_bin_removed_when_empty(self):
         alg = CDFF()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         sim.release(Item(0.0, 1.0, 0.2, uid=0))
         sim.release(Item(1.0, 2.0, 0.2, uid=1))  # t=1: old bin closed
         rows = alg.rows_snapshot()
@@ -105,7 +106,7 @@ class TestRowPlacement:
     def test_first_fit_within_row(self):
         # two big same-class items at t=0 → two bins in the same row
         alg = CDFF()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         sim.release(Item(0.0, 1.0, 0.8, uid=0))
         sim.release(Item(0.0, 1.0, 0.8, uid=1))
         sim.release(Item(0.0, 1.0, 0.1, uid=2))  # fits the first bin
@@ -126,7 +127,7 @@ class TestSegments:
 
     def test_segment_rows_reset(self):
         alg = CDFF()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         sim.release(Item(0.0, 2.0, 0.3, uid=0))
         sim.release(Item(2.0, 4.0, 0.3, uid=1))  # new segment at t=2
         assert alg.row_of_item(1) >= 0

@@ -45,11 +45,11 @@ class TestPlacement:
 
     def test_requires_clairvoyance(self):
         from repro.core.item import Item
-        from repro.core.simulation import IncrementalSimulation
+        from repro.core.kernel import PlacementKernel
 
         alg = LeastExpansion()
         alg.clairvoyant = False  # force the simulator to mask departures
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         with pytest.raises(ClairvoyanceError):
             sim.release(Item(0, 5, 0.5, uid=0))
 

@@ -16,8 +16,9 @@ from repro.algorithms.hybrid import (
 )
 from repro.analysis.theory import ha_gn_bound
 from repro.core.instance import Instance
-from repro.core.simulation import IncrementalSimulation, simulate
 from repro.core.item import Item
+from repro.core.kernel import PlacementKernel
+from repro.core.simulation import simulate
 from repro.core.validate import audit
 from repro.workloads import poisson_random, uniform_random
 
@@ -105,7 +106,7 @@ class TestRouting:
 class TestStateAccounting:
     def test_type_load_tracks_arrivals_and_departures(self):
         alg = HybridAlgorithm()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         sim.release(Item(0.5, 2.5, 0.3, uid=0))
         T = (1, 1)  # class-1 length, arrival window (0, 2]
         assert math.isclose(alg.active_type_load(T), 0.3)
@@ -116,7 +117,7 @@ class TestStateAccounting:
 
     def test_gn_and_cd_counters(self):
         alg = HybridAlgorithm()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         sim.release(Item(0.0, 2.0, 0.1, uid=0))
         assert alg.gn_open() == 1 and alg.cd_open() == 0
         sim.release(Item(0.0, 2.0, 0.9, uid=1))

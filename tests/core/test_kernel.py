@@ -21,9 +21,10 @@ from repro.core.errors import (
 )
 from repro.core.bins import Bin
 from repro.core.item import Item
-from repro.core.kernel import OpenBinIndex, PlacementKernel
-from repro.core.simulation import IncrementalSimulation, simulate
-from repro.engine import Engine
+from repro.core.instance import Instance
+from repro.core.kernel import KernelListener, OpenBinIndex, PlacementKernel
+from repro.core.simulation import simulate
+from repro.engine import Engine, EngineMetrics, restore, snapshot
 from repro.workloads import uniform_random
 
 
@@ -39,19 +40,6 @@ class TestKernelDriving:
         result = k.finish()
         assert result.cost == pytest.approx(3.0)
         assert result.assignment == {0: 0, 1: 0}
-
-    def test_kernel_is_its_own_facade(self):
-        seen = []
-
-        class Probe(FirstFit):
-            def place(self, item, sim):
-                seen.append(sim)
-                return super().place(item, sim)
-
-        k = PlacementKernel(Probe(), record=True)
-        k.release(Item(0.0, 1.0, 0.5, uid=0))
-        assert seen[0] is k
-        assert isinstance(k, SimulationView)
 
     def test_adaptive_depart(self):
         k = PlacementKernel(FirstFit(clairvoyant=False), record=True)
@@ -279,8 +267,8 @@ class TestOpenBinIndex:
         ha, bf = Engine(HybridAlgorithm()), Engine(BestFit())
         ha.run(inst)
         bf.run(inst)
-        assert ha.indexed and ha._kernel._index is None
-        assert bf.indexed and bf._kernel._index is not None
+        assert ha.kernel.indexed and ha.kernel._index is None
+        assert bf.kernel.indexed and bf.kernel._index is not None
 
     def test_exact_fill_one_third(self):
         """LOAD_EPS: three 1/3 items share one bin through the index."""
@@ -348,47 +336,108 @@ class TestListener:
         k.release(Item(0.0, 2.0, 0.5, uid=0))
         clone = pickle.loads(pickle.dumps(k))
         assert clone._listener is None
-        assert clone._facade is clone  # self-facade restored
         clone.release(Item(1.0, 3.0, 0.5, uid=1))
         clone.drain()
         assert clone.cost_so_far == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------- #
-# Frontends are adapters
+# Frontends are adapters: algorithms see the kernel itself
 # ---------------------------------------------------------------------- #
+class _HookProbe(FirstFit):
+    """FirstFit that records the ``sim`` each hook receives (module level
+    so a checkpoint can pickle it)."""
+
+    def reset(self):
+        super().reset()
+        self.seen = []
+
+    def place(self, item, sim):
+        self.seen.append(("place", sim))
+        return super().place(item, sim)
+
+    def notify_departure(self, item, bin_, sim):
+        self.seen.append(("departure", sim))
+        super().notify_departure(item, bin_, sim)
+
+    def notify_close(self, bin_, sim):
+        self.seen.append(("close", sim))
+        super().notify_close(bin_, sim)
+
+
+class _KernelCatcher(KernelListener):
+    """Listener the kernel binds on attach: captures the kernel."""
+
+    def bind(self, source):
+        self.kernel = source
+
+
+_HOOK_INSTANCE = Instance.from_tuples(
+    [(0, 2, 0.6), (1, 3, 0.6), (2.5, 4, 0.3), (3, 5, 0.5)]
+)
+
+
+def _hooks_via_simulate():
+    alg, catcher = _HookProbe(), _KernelCatcher()
+    simulate(alg, _HOOK_INSTANCE, listener=catcher)
+    return alg.seen, catcher.kernel
+
+
+def _hooks_via_engine(metrics):
+    eng = Engine(_HookProbe(), metrics=EngineMetrics() if metrics else None)
+    eng.run(_HOOK_INSTANCE)
+    return eng.kernel.algorithm.seen, eng.kernel
+
+
+def _hooks_via_restored_engine():
+    eng = Engine(_HookProbe(), metrics=EngineMetrics())
+    eng.feed_store(_HOOK_INSTANCE.store, 0, 2)
+    resumed = restore(snapshot(eng))
+    resumed.kernel.algorithm.seen = []
+    resumed.feed_store(_HOOK_INSTANCE.store, 2)
+    resumed.finish()
+    return resumed.kernel.algorithm.seen, resumed.kernel
+
+
+def _hooks_via_adversary():
+    from repro.adversary import SqrtLogAdversary
+
+    class Watching(SqrtLogAdversary):
+        def drive(self, sim):
+            self.sim = sim
+            super().drive(sim)
+
+    adv, alg = Watching(8), _HookProbe()
+    adv.run(alg)
+    return alg.seen, adv.sim
+
+
 class TestFrontendsAreAdapters:
     def test_both_frontends_satisfy_simulation_view(self):
-        assert isinstance(IncrementalSimulation(FirstFit()), SimulationView)
-        assert isinstance(Engine(FirstFit()), SimulationView)
+        assert isinstance(PlacementKernel(FirstFit(), record=True), SimulationView)
+        assert isinstance(Engine(FirstFit()).kernel, SimulationView)
         assert isinstance(PlacementKernel(FirstFit()), SimulationView)
 
-    def test_incremental_simulation_passes_itself_as_facade(self):
-        seen = []
-
-        class Probe(FirstFit):
-            def place(self, item, sim):
-                seen.append(sim)
-                return super().place(item, sim)
-
-        sim = IncrementalSimulation(Probe())
-        sim.release(Item(0.0, 1.0, 0.5, uid=0))
-        assert seen[0] is sim
-
-    def test_engine_passes_itself_as_facade(self):
-        seen = []
-
-        class Probe(FirstFit):
-            def place(self, item, sim):
-                seen.append(sim)
-                return super().place(item, sim)
-
-        eng = Engine(Probe())
-        eng.feed(Item(0.0, 1.0, 0.5, uid=0))
-        assert seen[0] is eng
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            _hooks_via_simulate,
+            lambda: _hooks_via_engine(metrics=False),
+            lambda: _hooks_via_engine(metrics=True),
+            _hooks_via_restored_engine,
+            _hooks_via_adversary,
+        ],
+        ids=["simulate", "engine", "engine-metrics", "engine-restored",
+             "adversary"],
+    )
+    def test_hooks_receive_the_kernel(self, drive):
+        seen, kernel = drive()
+        assert type(kernel) is PlacementKernel
+        assert {hook for hook, _ in seen} == {"place", "departure", "close"}
+        assert all(sim is kernel for _, sim in seen)
 
     def test_is_open(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         b = sim.release(Item(0.0, 1.0, 0.5, uid=0))
         assert sim.is_open(b.uid)
         sim.run_until(1.0)

@@ -12,7 +12,8 @@ from repro.core.errors import (
 )
 from repro.core.instance import Instance
 from repro.core.item import Item
-from repro.core.simulation import IncrementalSimulation, simulate
+from repro.core.kernel import PlacementKernel
+from repro.core.simulation import simulate
 from repro.core.validate import audit
 from repro.algorithms.anyfit import FirstFit
 
@@ -118,14 +119,6 @@ class TestBasicRuns:
         result = simulate(FirstFit(), full_bin_instance, capacity=2.0)
         assert result.n_bins == 1
 
-    def test_simulate_many(self, tiny_instance, disjoint_instance):
-        from repro.core.simulation import simulate_many
-
-        results = simulate_many(FirstFit, [tiny_instance, disjoint_instance])
-        assert len(results) == 2
-        assert results[0].cost == 6.0
-        assert results[1].n_bins == 3
-
 
 class TestProtocolViolations:
     def test_foreign_bin_rejected(self, tiny_instance):
@@ -145,25 +138,25 @@ class TestProtocolViolations:
             simulate(ReturnNonBin(), tiny_instance)
 
     def test_out_of_order_release_rejected(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         sim.release(Item(5.0, 6.0, 0.5, uid=0))
         with pytest.raises(SimulationError):
             sim.release(Item(1.0, 2.0, 0.5, uid=1))
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(SimulationError):
-            IncrementalSimulation(FirstFit(), capacity=0.0)
+            PlacementKernel(FirstFit(), capacity=0.0)
 
 
 class TestClairvoyance:
     def test_clairvoyant_algorithm_rejects_unknown_departure(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         with pytest.raises(ClairvoyanceError):
             sim.release(Item(0.0, None, 0.5, uid=0))
 
     def test_nonclairvoyant_never_sees_departures(self):
         alg = PeeksDepartures()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         for k in range(5):
             sim.release(Item(float(k), float(k) + 2.0, 0.4, uid=k))
         result = sim.finish()
@@ -180,7 +173,7 @@ class TestClairvoyance:
 
 class TestAdaptiveDepartures:
     def test_explicit_departure(self):
-        sim = IncrementalSimulation(FirstFit(clairvoyant=False))
+        sim = PlacementKernel(FirstFit(clairvoyant=False), record=True)
         sim.release(Item(0.0, None, 0.5, uid=0))
         sim.depart(0, 4.0)
         result = sim.finish()
@@ -188,25 +181,25 @@ class TestAdaptiveDepartures:
         assert result.departed_at[0] == 4.0
 
     def test_departure_in_past_rejected(self):
-        sim = IncrementalSimulation(FirstFit(clairvoyant=False))
+        sim = PlacementKernel(FirstFit(clairvoyant=False), record=True)
         sim.release(Item(0.0, None, 0.5, uid=0))
         sim.run_until(5.0)
         with pytest.raises(SimulationError):
             sim.depart(0, 1.0)
 
     def test_departure_of_scheduled_item_rejected(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         sim.release(Item(0.0, 3.0, 0.5, uid=0))
         with pytest.raises(SimulationError):
             sim.depart(0, 1.0)
 
     def test_departure_of_unknown_item_rejected(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         with pytest.raises(PackingError):
             sim.depart(7, 1.0)
 
     def test_finish_with_alive_adaptive_item_rejected(self):
-        sim = IncrementalSimulation(FirstFit(clairvoyant=False))
+        sim = PlacementKernel(FirstFit(clairvoyant=False), record=True)
         sim.release(Item(0.0, None, 0.5, uid=0))
         with pytest.raises(SimulationError):
             sim.finish()
@@ -228,7 +221,7 @@ class TestSemantics:
         assert result.assignment[0] != result.assignment[1]
 
     def test_open_bin_count_live(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         assert sim.open_bin_count == 0
         sim.release(Item(0.0, 10.0, 0.9, uid=0))
         assert sim.open_bin_count == 1
@@ -238,7 +231,7 @@ class TestSemantics:
         assert sim.open_bin_count == 0
 
     def test_cost_so_far_monotone(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         sim.release(Item(0.0, 10.0, 0.9, uid=0))
         sim.run_until(3.0)
         c1 = sim.cost_so_far
@@ -247,7 +240,7 @@ class TestSemantics:
         assert 0 < c1 < c2
 
     def test_run_until_backwards_rejected(self):
-        sim = IncrementalSimulation(FirstFit())
+        sim = PlacementKernel(FirstFit(), record=True)
         sim.release(Item(5.0, 6.0, 0.5, uid=0))
         with pytest.raises(SimulationError):
             sim.run_until(1.0)

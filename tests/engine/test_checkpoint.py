@@ -50,8 +50,8 @@ def test_restore_reaches_identical_final_cost(factory, instance, cut):
     summary = resumed.finish()
     assert summary.cost == batch.cost
     assert summary.max_open == batch.max_open
-    assert resumed.result().assignment == batch.assignment
-    assert resumed.result().bins == batch.bins
+    assert resumed.kernel.result().assignment == batch.assignment
+    assert resumed.kernel.result().bins == batch.bins
 
 
 def test_snapshot_is_independent_of_live_engine():
@@ -97,8 +97,8 @@ def test_checkpoint_metadata():
     for it in items[:25]:
         eng.feed(it)
     ckpt = snapshot(eng)
-    assert ckpt.time == eng.time
-    assert ckpt.cost_so_far == pytest.approx(eng.cost_so_far)
+    assert ckpt.time == eng.kernel.time
+    assert ckpt.cost_so_far == pytest.approx(eng.kernel.cost_so_far)
     assert ckpt.version == CHECKPOINT_VERSION == 3
 
 
@@ -133,8 +133,8 @@ def test_reject_v1_checkpoint_with_clear_message(tmp_path):
 
 
 def test_restored_kernel_hooks_rewired():
-    # the kernel drops its listener/facade at pickle time; restore must
-    # re-attach them so metrics and accounting keep tracking post-resume
+    # the kernel drops its listener at pickle time; restore must
+    # re-attach it so metrics and accounting keep tracking post-resume
     # events (the engine listens to its kernel only while it has metrics
     # or observers to feed)
     items = list(uniform_random(40, 8, seed=12))
@@ -142,9 +142,8 @@ def test_restored_kernel_hooks_rewired():
     for it in items[:20]:
         eng.feed(it)
     resumed = restore(snapshot(eng))
-    assert restore(snapshot(Engine(FirstFit())))._kernel._listener is None
-    assert resumed._kernel._listener is resumed
-    assert resumed._kernel._facade is resumed
+    assert restore(snapshot(Engine(FirstFit()))).kernel._listener is None
+    assert resumed.kernel._listener is resumed
     before = resumed.accounting.arrivals
     for it in items[20:]:
         resumed.feed(it)
@@ -284,8 +283,11 @@ class TestV2Compat:
         assert ckpt.columns is None  # v2 blobs carry boxed items
         assert ckpt.arrivals == expected["arrivals"]
         eng = restore(ckpt)
-        assert eng.time == pytest.approx(expected["time"])
-        assert eng.cost_so_far == pytest.approx(expected["cost_so_far"])
+        assert eng.kernel.time == pytest.approx(expected["time"])
+        assert eng.kernel.cost_so_far == pytest.approx(expected["cost_so_far"])
+        # the blob's kernel state carries the retired facade slot
+        assert b"_facade" in ckpt.blob
+        assert not hasattr(eng.kernel, "_facade")
 
     def test_v2_resume_reaches_frozen_final_cost(self, expected):
         eng = load_checkpoint(self.DATA / "checkpoint_v2_firstfit.ckpt")
@@ -351,6 +353,9 @@ class TestPreViewBlobs:
         assert ckpt.version == expected["version"] == 3
         eng = restore(ckpt)
         assert eng.accounting.to_dict() == expected["accounting_at_cut"]
+        # the blob's kernel state carries the retired facade slot
+        assert b"_facade" in ckpt.blob
+        assert not hasattr(eng.kernel, "_facade")
 
     def test_v3_resume_is_bit_identical(self):
         expected = json.loads(

@@ -63,10 +63,10 @@ class TestEngineBasics:
         eng = Engine(FirstFit())
         eng.feed(Item(0.0, 4.0, 0.5, uid=0))
         eng.feed(Item(0.0, 2.0, 0.9, uid=1))  # needs a second bin
-        eng.advance_to(3.0)
+        eng.kernel.advance_to(3.0)
         # bin0 open [0, 3), bin1 closed [0, 2)
-        assert eng.cost_so_far == pytest.approx(3.0 + 2.0)
-        assert eng.open_bin_count == 1
+        assert eng.kernel.cost_so_far == pytest.approx(3.0 + 2.0)
+        assert eng.kernel.open_bin_count == 1
         eng.finish()
         assert eng.accounting.cost == pytest.approx(4.0 + 2.0)
 
@@ -74,18 +74,18 @@ class TestEngineBasics:
         inst = uniform_random(200, 16, seed=2)
         eng = Engine(FirstFit())
         eng.run(iter(inst))
-        assert eng._items == []
-        assert eng._records == []
-        assert eng._assignment == {}
+        assert eng.kernel._items == []
+        assert eng.kernel._records == []
+        assert eng.kernel._assignment == {}
         with pytest.raises(SimulationError):
-            eng.result()
+            eng.kernel.result()
 
     def test_record_mode_result_equals_simulate(self):
         inst = uniform_random(120, 16, seed=3)
         batch = simulate(HybridAlgorithm(), inst)
         eng = Engine(HybridAlgorithm(), record=True)
         eng.run(iter(inst))
-        streamed = eng.result()
+        streamed = eng.kernel.result()
         assert streamed.cost == batch.cost
         assert streamed.assignment == batch.assignment
         assert streamed.bins == batch.bins
@@ -108,14 +108,14 @@ class TestEngineBasics:
 
         eng = Engine(Lenient())
         eng.feed(Item(0.0, None, 0.4, uid=0))
-        eng.depart(0, 5.0)
+        eng.kernel.depart(0, 5.0)
         summary = eng.finish()
         assert summary.cost == pytest.approx(5.0)
         # departing a scheduled item explicitly is an error
         eng2 = Engine(Lenient())
         eng2.feed(Item(0.0, 2.0, 0.4, uid=0))
         with pytest.raises(SimulationError):
-            eng2.depart(0, 1.0)
+            eng2.kernel.depart(0, 1.0)
 
     def test_place_must_return_open_bin(self):
         class Rogue(FirstFit):
@@ -177,9 +177,9 @@ class TestRunningAccounting:
     def test_util_area_integration(self):
         eng = Engine(FirstFit())
         eng.feed(Item(0.0, 10.0, 0.5, uid=0))
-        eng.advance_to(2.0)  # 0.5 * 2
+        eng.kernel.advance_to(2.0)  # 0.5 * 2
         eng.feed(Item(2.0, 10.0, 0.3, uid=1))
-        eng.advance_to(3.0)  # 0.8 * 1
+        eng.kernel.advance_to(3.0)  # 0.8 * 1
         acc = eng.accounting
         assert acc.util_area == pytest.approx(0.5 * 2 + 0.8)
         assert acc.peak_load == pytest.approx(0.8)
@@ -210,7 +210,7 @@ class TestRunningAccounting:
         eng.feed(Item(0.0, 4.0, 0.5, uid=0))
         eng.feed(Item(1.0, 2.0, 0.25, uid=1))
         assert eng.accounting.load == pytest.approx(0.75)
-        eng.advance_to(3.0)
+        eng.kernel.advance_to(3.0)
         assert eng.accounting.load == pytest.approx(0.5)
         eng.finish()
         assert eng.accounting.load == 0.0
@@ -283,9 +283,9 @@ class TestFeedStorePaths:
 
     def test_column_loop_only_without_callbacks(self):
         eng = Engine(FirstFit())
-        assert eng._kernel.listeners == []
+        assert eng.kernel.listeners == []
         eng.subscribe(lambda event: None)
-        assert eng._kernel.listeners == [eng]
+        assert eng.kernel.listeners == [eng]
 
     def test_metrics_assigned_late_are_fed(self):
         inst = uniform_random(150, 8, seed=7)
@@ -293,10 +293,10 @@ class TestFeedStorePaths:
         Engine(FirstFit(), metrics=early).run(inst)
         eng = Engine(FirstFit(), listeners=(EventLog(),))
         eng.metrics = late = EngineMetrics()
-        assert eng._kernel.listeners[0] is eng
+        assert eng.kernel.listeners[0] is eng
         eng.run(inst)
         a, b = early.snapshot(), late.snapshot()
         assert a["counters"] == b["counters"]
         assert a["histograms"] == b["histograms"]
         eng.metrics = None
-        assert eng not in eng._kernel.listeners
+        assert eng not in eng.kernel.listeners

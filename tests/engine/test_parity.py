@@ -71,7 +71,7 @@ class TestParityProperty:
         summary = eng.run(iter(inst))
         assert summary.cost == batch.cost
         assert summary.max_open == batch.max_open
-        assert eng.result().assignment == batch.assignment
+        assert eng.kernel.result().assignment == batch.assignment
 
     @settings(max_examples=15, deadline=None)
     @given(inst=instances(), cap=st.floats(min_value=1.0, max_value=4.0))
@@ -98,14 +98,16 @@ class TestParityProperty:
     def test_mid_stream_cost_is_consistent(self, inst, name):
         """cost_so_far after the k-th release matches the batch
         incremental simulation at the same point."""
-        from repro.core.simulation import IncrementalSimulation
+        from repro.core.kernel import PlacementKernel
 
         factory = _registry()[name]
         k = max(1, len(inst) // 2)
-        sim = IncrementalSimulation(factory())
+        sim = PlacementKernel(factory(), record=True)
         eng = Engine(factory())
         for it in list(inst)[:k]:
             sim.release(it)
             eng.feed(it)
-        assert eng.cost_so_far == pytest.approx(sim.cost_so_far, abs=1e-9)
-        assert eng.open_bin_count == sim.open_bin_count
+        assert eng.kernel.cost_so_far == pytest.approx(
+            sim.cost_so_far, abs=1e-9
+        )
+        assert eng.kernel.open_bin_count == sim.open_bin_count

@@ -248,13 +248,24 @@ class TestRegress:
         assert "FAIL" in text and "metrics.cost" in text
 
     def test_unmatched_records_never_gate(self):
-        baseline = make_record()
+        baseline = [make_record(), make_record(algorithm="NextFit")]
         newcomer = make_record(algorithm="BestFit")
-        report = regress([newcomer], [baseline])
-        assert report.ok  # nothing compared, nothing failed
+        report = regress([make_record(), newcomer], baseline)
+        assert report.ok  # one pair compared clean; the rest is reported
         assert report.new and report.missing
         text = report.render()
         assert "not gated" in text
+
+    def test_baseline_with_no_match_fails(self):
+        # a baseline frozen under another config hash gates nothing
+        stale = make_record(config={"limit": 0})
+        report = regress([make_record()], [stale])
+        assert not report.compared and not report.failures
+        assert not report.ok
+        assert report.render().endswith(
+            "regress: FAIL (no baseline record matched)"
+        )
+        assert not regress([], [stale]).ok
 
     def test_empty_everything_passes(self):
         report = regress([], [])

@@ -146,7 +146,7 @@ class TestTracingListener:
         # construct-time switch: no listener attached, nothing recorded
         # (and an engine without metrics or observers listens to nothing)
         assert tr.total == 0
-        assert eng._kernel._listener is None
+        assert eng.kernel._listener is None
 
     def test_engine_traces_when_enabled(self):
         inst = uniform_random(50, 8, seed=4)

@@ -15,7 +15,8 @@ from repro.algorithms.anyfit import BestFit, FirstFit
 from repro.algorithms.hybrid import HybridAlgorithm
 from repro.core.instance import Instance
 from repro.core.item import Item
-from repro.core.simulation import IncrementalSimulation, simulate
+from repro.core.kernel import PlacementKernel
+from repro.core.simulation import simulate
 
 sizes = st.floats(min_value=0.02, max_value=1.0, allow_nan=False)
 times = st.floats(min_value=0.0, max_value=40.0, allow_nan=False)
@@ -35,9 +36,9 @@ def instances(draw, n_max=15):
 @given(inst=instances())
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_incremental(inst):
-    """simulate() and hand-driving IncrementalSimulation agree exactly."""
+    """simulate() and hand-driving a recording PlacementKernel agree exactly."""
     batch = simulate(FirstFit(), inst)
-    sim = IncrementalSimulation(FirstFit())
+    sim = PlacementKernel(FirstFit(), record=True)
     for item in inst:
         sim.release(item)
     inc = sim.finish()

@@ -78,7 +78,7 @@ def _run_both(algo_factory, inst):
     for it in inst:
         eng.feed(it)
     eng.finish()
-    return batch, eng.result()
+    return batch, eng.kernel.result()
 
 
 class TestKernelSemantics:

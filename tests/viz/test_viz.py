@@ -7,7 +7,8 @@ import pytest
 from repro.algorithms.cdff import CDFF
 from repro.core.instance import Instance
 from repro.core.item import Item
-from repro.core.simulation import IncrementalSimulation, simulate
+from repro.core.kernel import PlacementKernel
+from repro.core.simulation import simulate
 from repro.viz.ascii import render_instance, render_packing, render_rows, timeline_scale
 from repro.viz.figures import figure1, figure2, figure3
 from repro.workloads.aligned import binary_input
@@ -81,7 +82,7 @@ class TestRenderRows:
 
     def test_live_snapshot(self):
         alg = CDFF()
-        sim = IncrementalSimulation(alg)
+        sim = PlacementKernel(alg, record=True)
         for uid, length in enumerate([1.0, 2.0, 4.0]):
             sim.release(Item(0.0, length, 0.3, uid=uid))
         text = render_rows(alg.rows_snapshot())
